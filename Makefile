@@ -46,9 +46,9 @@
 #   make bench-coevo  arena benchmarks (one full generation; warm vs cold
 #                retrain) -> BENCH_coevo.json
 #   make bench-transform  clone-vs-thaw module-copy benchmarks (µs/op and
-#                allocs/op for Clone/Thaw/CompileClone/CompileThaw, plus the
-#                harness-round and coevo-generation numbers that ride on the
-#                copy path) -> BENCH_transform.json
+#                allocs/op for Clone/Thaw/CompileThaw, plus the harness-round
+#                and coevo-generation numbers that ride on the copy path)
+#                -> BENCH_transform.json
 #   make check   everything CI runs: build + test + race + cross +
 #                serve-smoke + gateway-smoke + coevo-smoke + fuzz-smoke +
 #                fuzz-smoke-vm + thaw-smoke
@@ -92,7 +92,7 @@ bench:
 # the graph/vector builders over the flat view. Results land in
 # BENCH_ir.json.
 bench-ir:
-	{ $(GO) test -run xxx -bench 'BenchmarkFlatten|BenchmarkClone|BenchmarkFlatShare|BenchmarkCompileClone' -benchmem ./internal/ir/ ; \
+	{ $(GO) test -run xxx -bench 'BenchmarkFlatten|BenchmarkClone|BenchmarkFlatShare' -benchmem ./internal/ir/ ; \
 	  $(GO) test -run xxx -bench 'BenchmarkGraphBuilders|BenchmarkHistogram|BenchmarkVectorBuilders' -benchmem ./internal/embed/ ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_ir.json
 	@echo wrote BENCH_ir.json
@@ -223,7 +223,7 @@ fuzz:
 # Clone-vs-thaw and progcache benchmarks for the transform fast path,
 # recorded machine-readably. Results land in BENCH_transform.json.
 bench-transform:
-	{ $(GO) test -run xxx -bench 'BenchmarkClone|BenchmarkThaw|BenchmarkFlatten|BenchmarkCompileClone|BenchmarkCompileThaw' -benchmem ./internal/ir/ ; \
+	{ $(GO) test -run xxx -bench 'BenchmarkClone|BenchmarkThaw|BenchmarkFlatten|BenchmarkCompileThaw' -benchmem ./internal/ir/ ; \
 	  $(GO) test -run xxx -bench BenchmarkHarnessRounds -benchtime 3x . ; \
 	  $(GO) test -run xxx -bench BenchmarkCoevoGeneration -benchmem -benchtime 5x ./internal/coevo/ ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_transform.json

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/ml"
-	"repro/internal/progcache"
 	"repro/internal/stats"
 )
 
@@ -72,36 +71,6 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if len(base.Generations) != 3 {
 		t.Fatalf("want 3 generations, got %d", len(base.Generations))
-	}
-}
-
-// TestRunThawCloneInvariance is the arena half of the thaw equivalence
-// contract: a fixed-seed co-evolution run must produce an identical manifest
-// (generation results and final snapshot) whether module copies come from
-// ir.Thaw or from the deep-clone fallback, at 1, 4 and 8 workers.
-func TestRunThawCloneInvariance(t *testing.T) {
-	defer progcache.SetThaw(true)
-	set := testSet(t)
-	var base *Result
-	for _, workers := range []int{1, 4, 8} {
-		for _, thaw := range []bool{true, false} {
-			progcache.SetThaw(thaw)
-			res, err := Run(testConfig(set, workers))
-			if err != nil {
-				t.Fatalf("Run(workers=%d, thaw=%v): %v", workers, thaw, err)
-			}
-			res = stripVolatile(res)
-			if base == nil {
-				base = res
-				continue
-			}
-			if !reflect.DeepEqual(base.Generations, res.Generations) {
-				t.Fatalf("workers=%d thaw=%v diverged:\n  base: %+v\n  got:  %+v", workers, thaw, base.Generations, res.Generations)
-			}
-			if !bytes.Equal(base.FinalSnapshot, res.FinalSnapshot) {
-				t.Fatalf("workers=%d thaw=%v produced a different final snapshot", workers, thaw)
-			}
-		}
 	}
 }
 

@@ -75,13 +75,8 @@ func TrainSignatureScanner(malware, benign []string, n int, minSupport float64) 
 // NumSignatures reports the size of the signature database.
 func (sc *SignatureScanner) NumSignatures() int { return len(sc.signatures) }
 
-// Scan reports whether the module matches the family (>= threshold
+// ScanFlat reports whether the flat view matches the family (>= threshold
 // signature hits).
-func (sc *SignatureScanner) Scan(m *ir.Module) bool {
-	return sc.scanGrams(ngrams(m, sc.n))
-}
-
-// ScanFlat is Scan over a flat view.
 func (sc *SignatureScanner) ScanFlat(fl *ir.Flat) bool {
 	return sc.scanGrams(ngramsFlat(fl, sc.n))
 }
@@ -99,26 +94,9 @@ func (sc *SignatureScanner) scanGrams(grams map[string]bool) bool {
 	return false
 }
 
-// ngrams extracts the set of opcode n-grams along basic blocks.
-func ngrams(m *ir.Module, n int) map[string]bool {
-	out := make(map[string]bool)
-	buf := make([]byte, n)
-	for _, f := range m.Functions {
-		for _, b := range f.Blocks {
-			for i := 0; i+n <= len(b.Instrs); i++ {
-				for k := 0; k < n; k++ {
-					buf[k] = byte(b.Instrs[i+k].Op)
-				}
-				out[string(buf)] = true
-			}
-		}
-	}
-	return out
-}
-
-// ngramsFlat is ngrams over a flat view. Block instruction spans are
-// contiguous in the dense opcode column, so each n-gram is a direct
-// substring of fl.Ops — same windows, same keys, no per-instruction walk.
+// ngramsFlat extracts the set of opcode n-grams along basic blocks. Block
+// instruction spans are contiguous in the dense opcode column, so each
+// n-gram is a direct substring of fl.Ops.
 func ngramsFlat(fl *ir.Flat, n int) map[string]bool {
 	out := make(map[string]bool)
 	for bi := range fl.Blocks {
@@ -254,16 +232,4 @@ func AntivirusComparison(cfg MalwareConfig) ([]AntivirusRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// CountHits reports how many distinct signatures match m (diagnostics and
-// threshold calibration).
-func (sc *SignatureScanner) CountHits(m *ir.Module) int {
-	hits := 0
-	for gram := range ngrams(m, sc.n) {
-		if sc.signatures[gram] {
-			hits++
-		}
-	}
-	return hits
 }

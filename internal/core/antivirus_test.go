@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/minic"
+	"repro/internal/progcache"
 )
 
 func malwareBenignSources(t *testing.T, n int, seed int64) (pos, neg []string) {
@@ -36,20 +37,20 @@ func TestSignatureScannerSeparatesTraining(t *testing.T) {
 	}
 	// Held-out family members must be flagged; held-out benign must not.
 	for _, src := range pos[8:] {
-		m, err := minic.CompileSource(src, "m")
+		fl, err := progcache.CompileFlat(src, "m")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sc.Scan(m) {
+		if !sc.ScanFlat(fl) {
 			t.Fatal("held-out family member not detected")
 		}
 	}
 	for _, src := range neg[8:] {
-		m, err := minic.CompileSource(src, "m")
+		fl, err := progcache.CompileFlat(src, "m")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sc.Scan(m) {
+		if sc.ScanFlat(fl) {
 			t.Fatal("benign program flagged")
 		}
 	}

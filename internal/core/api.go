@@ -63,29 +63,20 @@ func embedSource(compileFlat func(src, name string) (*ir.Flat, error), src, embe
 	return v, nil
 }
 
-// TransformEmbed runs the named evader pipeline over src (seeded, so the
-// stochastic evaders replay) and returns the transformed module's printed
-// IR together with its vector embedding — the payload a classifier-side
-// verdict on the evaded program needs.
-func TransformEmbed(src, evader, embedding string, seed int64) (string, embed.Vector, error) {
-	m, v, err := transformEmbedModule(Transform, src, evader, embedding, seed)
-	if err != nil {
-		return "", nil, err
-	}
-	return m.String(), v, nil
-}
-
-// TransformEmbedUntrusted is TransformEmbed over the bounded untrusted
-// compile tier — the serve-path variant for client-supplied sources.
+// TransformEmbedUntrusted runs the named evader pipeline over src (seeded,
+// so the stochastic evaders replay) and returns the transformed module's
+// printed IR together with its vector embedding — the payload a
+// classifier-side verdict on the evaded program needs. The O0 compile goes
+// through progcache's bounded untrusted tier, since src is client-supplied.
 func TransformEmbedUntrusted(src, evader, embedding string, seed int64) (string, embed.Vector, error) {
-	m, v, err := transformEmbedModule(TransformUntrusted, src, evader, embedding, seed)
+	m, v, err := transformEmbedModule(src, evader, embedding, seed)
 	if err != nil {
 		return "", nil, err
 	}
 	return m.String(), v, nil
 }
 
-func transformEmbedModule(transform func(src, name string, rng *rand.Rand) (*ir.Module, error), src, evader, embedding string, seed int64) (*ir.Module, embed.Vector, error) {
+func transformEmbedModule(src, evader, embedding string, seed int64) (*ir.Module, embed.Vector, error) {
 	emb, err := vectorEmbedding(embedding)
 	if err != nil {
 		return nil, nil, err
@@ -93,7 +84,7 @@ func transformEmbedModule(transform func(src, name string, rng *rand.Rand) (*ir.
 	if err := ValidateEvader(evader); err != nil {
 		return nil, nil, err
 	}
-	m, err := transform(src, evader, rand.New(rand.NewSource(seed)))
+	m, err := transformFrom(progcache.CompileThawUntrusted, src, evader, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -119,27 +110,16 @@ type ExecObs struct {
 // past it reports a budget trap instead of stalling the server.
 const ExecMaxSteps = 16 << 20
 
-// TransformEmbedRun is TransformEmbed plus execution of the transformed
-// module on the named engine ("" = tree interpreter, "vm" = compiled
-// bytecode). Traps are reported in the observation, not as an error: a
-// trapping evaded program is still a servable result.
-func TransformEmbedRun(src, evader, embedding string, seed int64, engine string) (string, embed.Vector, *ExecObs, error) {
-	return transformEmbedRun(Transform, src, evader, embedding, seed, engine)
-}
-
-// TransformEmbedRunUntrusted is TransformEmbedRun over the bounded
-// untrusted compile tier — the serve-path variant for client-supplied
-// sources.
+// TransformEmbedRunUntrusted is TransformEmbedUntrusted plus execution of
+// the transformed module on the named engine ("" = tree interpreter, "vm" =
+// compiled bytecode). Traps are reported in the observation, not as an
+// error: a trapping evaded program is still a servable result.
 func TransformEmbedRunUntrusted(src, evader, embedding string, seed int64, engine string) (string, embed.Vector, *ExecObs, error) {
-	return transformEmbedRun(TransformUntrusted, src, evader, embedding, seed, engine)
-}
-
-func transformEmbedRun(transform func(src, name string, rng *rand.Rand) (*ir.Module, error), src, evader, embedding string, seed int64, engine string) (string, embed.Vector, *ExecObs, error) {
 	eng, err := interp.EngineByName(engine)
 	if err != nil {
 		return "", nil, nil, err
 	}
-	m, v, err := transformEmbedModule(transform, src, evader, embedding, seed)
+	m, v, err := transformEmbedModule(src, evader, embedding, seed)
 	if err != nil {
 		return "", nil, nil, err
 	}

@@ -39,7 +39,7 @@ func TestEmbedSource(t *testing.T) {
 }
 
 func TestTransformEmbed(t *testing.T) {
-	irText, v, err := TransformEmbed(apiTestSrc, "sub", "histogram", 7)
+	irText, v, err := TransformEmbedUntrusted(apiTestSrc, "sub", "histogram", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestTransformEmbed(t *testing.T) {
 		t.Fatalf("embedding has %d dims, want %d", len(v), ir.NumOpcodes)
 	}
 	// Same seed replays identically.
-	ir2, v2, err := TransformEmbed(apiTestSrc, "sub", "histogram", 7)
+	ir2, v2, err := TransformEmbedUntrusted(apiTestSrc, "sub", "histogram", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestTransformEmbed(t *testing.T) {
 		}
 	}
 
-	if _, _, err := TransformEmbed(apiTestSrc, "warp-drive", "histogram", 1); err == nil {
+	if _, _, err := TransformEmbedUntrusted(apiTestSrc, "warp-drive", "histogram", 1); err == nil {
 		t.Fatal("unknown evader accepted")
 	}
 }

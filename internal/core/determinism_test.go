@@ -12,11 +12,12 @@ import (
 	"repro/internal/stats"
 )
 
-// TestRunGameCacheInvariant is the clone-before-mutate regression guard:
+// TestRunGameCacheInvariant is the copy-before-mutate regression guard:
 // with a fixed seed, RunGame must return bit-identical Accuracy/F1 whether
 // the compile cache is enabled or not, and under GOMAXPROCS=1 vs. many.
-// A cached master leaking mutations (a missing clone, a shallow field in
-// ir.Clone) shows up here as a divergence between the configurations.
+// A cached master leaking mutations (a missing copy, a field ir.Thaw shares
+// instead of rebuilding) shows up here as a divergence between the
+// configurations.
 func TestRunGameCacheInvariant(t *testing.T) {
 	set := smallSet(t, 5, 8, 31)
 	cfgs := []core.GameConfig{
@@ -54,83 +55,64 @@ func TestRunGameCacheInvariant(t *testing.T) {
 
 // TestRunRoundsWorkerInvariance checks that the parallel round scheduler
 // preserves the historical per-round seed derivation: any worker count must
-// produce the same per-round results in the same order.
+// produce the same per-round results, in the same order, as a serial run.
+// The ollvm case runs every round's transforms on module copies thawed
+// from the shared flat views, so it also guards the thaw path against
+// cross-round or cross-worker leaks.
 func TestRunRoundsWorkerInvariance(t *testing.T) {
-	set := smallSet(t, 4, 8, 32)
-	cfg := core.GameConfig{
-		Game:     1,
-		Evader:   "sub",
-		Pipeline: core.Pipeline{Embedding: "histogram", Model: "rf"},
-		Seed:     5,
+	cases := []struct {
+		name    string
+		setSeed int64
+		cfg     core.GameConfig
+		rounds  int
+		workers []int
+	}{
+		{
+			name:    "sub",
+			setSeed: 32,
+			cfg: core.GameConfig{Game: 1, Evader: "sub",
+				Pipeline: core.Pipeline{Embedding: "histogram", Model: "rf"}, Seed: 5},
+			rounds:  4,
+			workers: []int{2, 4, 16},
+		},
+		{
+			name:    "ollvm",
+			setSeed: 36,
+			cfg: core.GameConfig{Game: 1, Evader: "ollvm",
+				Pipeline: core.Pipeline{Embedding: "histogram", Model: "rf"}, Seed: 9},
+			rounds:  3,
+			workers: []int{1, 4, 8},
+		},
 	}
-	const rounds = 4
-	ref, refSum, err := core.RunRoundsN(set, cfg, rounds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, rounds, 16} {
-		got, gotSum, err := core.RunRoundsN(set, cfg, rounds, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(ref) {
-			t.Fatalf("workers=%d: %d rounds, want %d", workers, len(got), len(ref))
-		}
-		for r := range ref {
-			if got[r].Accuracy != ref[r].Accuracy || got[r].F1 != ref[r].F1 {
-				t.Fatalf("workers=%d round %d: got %.6f/%.6f want %.6f/%.6f",
-					workers, r, got[r].Accuracy, got[r].F1, ref[r].Accuracy, ref[r].F1)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			set := smallSet(t, 4, 8, tc.setSeed)
+			run := func(workers int) ([]core.GameResult, stats.Summary) {
+				t.Helper()
+				res, sum, err := core.RunRoundsN(set, tc.cfg, tc.rounds, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Wall-clock cells are run-dependent by nature; everything
+				// else must be bit-identical.
+				for i := range res {
+					res[i].FeaturizeTime = 0
+					res[i].TrainTime = 0
+				}
+				return res, sum
 			}
-		}
-		if gotSum != refSum {
-			t.Fatalf("workers=%d: summary %+v != %+v", workers, gotSum, refSum)
-		}
-	}
-}
-
-// TestRunRoundsThawCloneInvariance is the round-level half of the thaw
-// equivalence contract: with a fixed seed, RunRoundsN must produce
-// bit-identical per-round results and summaries whether the transform
-// pipeline draws its private module copies from ir.Thaw (the default) or
-// from the deep-clone fallback (SetThaw(false)) — at 1, 4 and 8 workers.
-func TestRunRoundsThawCloneInvariance(t *testing.T) {
-	defer progcache.SetThaw(true)
-	set := smallSet(t, 4, 8, 36)
-	cfg := core.GameConfig{
-		Game:     1,
-		Evader:   "ollvm",
-		Pipeline: core.Pipeline{Embedding: "histogram", Model: "rf"},
-		Seed:     9,
-	}
-	const rounds = 3
-	type run struct {
-		res []core.GameResult
-		sum stats.Summary
-	}
-	runAt := func(workers int, thaw bool) run {
-		t.Helper()
-		progcache.SetThaw(thaw)
-		res, sum, err := core.RunRoundsN(set, cfg, rounds, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Wall-clock cells are run-dependent by nature; everything else must
-		// be bit-identical.
-		for i := range res {
-			res[i].FeaturizeTime = 0
-			res[i].TrainTime = 0
-		}
-		return run{res, sum}
-	}
-	ref := runAt(1, true)
-	for _, workers := range []int{1, 4, 8} {
-		for _, thaw := range []bool{true, false} {
-			got := runAt(workers, thaw)
-			if !reflect.DeepEqual(got.res, ref.res) || got.sum != ref.sum {
-				t.Fatalf("workers=%d thaw=%v diverged from the thaw-backed serial run:\n  got:  %+v %+v\n  want: %+v %+v",
-					workers, thaw, got.res, got.sum, ref.res, ref.sum)
+			ref, refSum := run(1)
+			if len(ref) != tc.rounds {
+				t.Fatalf("%d rounds, want %d", len(ref), tc.rounds)
 			}
-		}
+			for _, workers := range tc.workers {
+				got, gotSum := run(workers)
+				if !reflect.DeepEqual(got, ref) || gotSum != refSum {
+					t.Fatalf("workers=%d diverged from the serial run:\n  got:  %+v %+v\n  want: %+v %+v",
+						workers, got, gotSum, ref, refSum)
+				}
+			}
+		})
 	}
 }
 

@@ -291,7 +291,7 @@ func featurizeOne(s dataset.Sample, transform string, normalize bool,
 		// The passive evader with no normalizer leaves the module exactly
 		// as compiled, and embeddings only read it — so every round and
 		// every worker can share the one cached flat view, skipping the
-		// front end, the clone and the flatten.
+		// front end, the thaw and the flatten.
 		var err error
 		fl, err = progcache.CompileFlat(s.Source, "prog")
 		if err != nil {

@@ -63,8 +63,8 @@ func BenchmarkClone(b *testing.B) {
 
 // BenchmarkFlatShare is a progcache flat hit: after the first CompileFlat
 // the view is shared, so a hit is a cache lookup and nothing else. Contrast
-// with BenchmarkCompileClone, the mutating-consumer path that still deep
-// copies.
+// with BenchmarkCompileThaw, the mutating-consumer path that still builds a
+// private copy.
 func BenchmarkFlatShare(b *testing.B) {
 	progcache.Reset()
 	if _, err := progcache.CompileFlat(benchSrc, "bench"); err != nil {
@@ -103,22 +103,6 @@ func BenchmarkCompileThaw(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := progcache.CompileThaw(benchSrc, "bench"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCompileClone is a progcache hit on the mutating path: the cached
-// master plus the deep clone handed to passes and obfuscators.
-func BenchmarkCompileClone(b *testing.B) {
-	progcache.Reset()
-	if _, err := progcache.Compile(benchSrc, "bench"); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := progcache.Compile(benchSrc, "bench"); err != nil {
 			b.Fatal(err)
 		}
 	}

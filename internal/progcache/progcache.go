@@ -4,8 +4,9 @@
 // deterministic, so the O0 compile of a given source is an immutable
 // artifact that can be compiled once and reused everywhere (the same move
 // as a compiler's module cache). Consumers that go on to mutate the module
-// with passes or obfuscations receive a deep clone of the cached master;
-// read-only consumers can share the master directly.
+// with passes or obfuscations receive a private copy thawed from the
+// cached flat view (CompileThaw); read-only consumers can share the master
+// directly.
 //
 // Alongside each master module the cache lazily materializes its
 // struct-of-arrays view (ir.Flatten), built at most once per entry and
@@ -49,13 +50,11 @@ type entry struct {
 var (
 	cache   sync.Map // source string -> *entry
 	enabled atomic.Bool
-	useThaw atomic.Bool
 
 	hits         = obs.GetCounter("progcache.hits")
 	misses       = obs.GetCounter("progcache.misses")
 	entries      = obs.GetGauge("progcache.entries")
 	compileTimer = obs.GetTimer("progcache.compile")
-	cloneTimer   = obs.GetTimer("progcache.clone")
 	flatHits     = obs.GetCounter("progcache.flat.hits")
 	flatMisses   = obs.GetCounter("progcache.flat.misses")
 	flattenTimer = obs.GetTimer("progcache.flatten")
@@ -65,7 +64,6 @@ var (
 
 func init() {
 	enabled.Store(true)
-	useThaw.Store(true)
 }
 
 // SetEnabled toggles the cache globally (tests use this to compare cached
@@ -75,15 +73,6 @@ func SetEnabled(on bool) { enabled.Store(on) }
 
 // Enabled reports whether the cache is active.
 func Enabled() bool { return enabled.Load() }
-
-// SetThaw toggles the thaw fast path behind CompileThaw. With it off, every
-// CompileThaw caller falls back to the historical clone path — the
-// clone-vs-thaw determinism suites flip this to prove the two backends
-// produce bit-identical runs.
-func SetThaw(on bool) { useThaw.Store(on) }
-
-// ThawEnabled reports whether CompileThaw uses the thaw path.
-func ThawEnabled() bool { return useThaw.Load() }
 
 // Reset drops every cached module (and with it every cached flat view),
 // empties the untrusted tier and zeroes the counters.
@@ -99,7 +88,6 @@ func ResetStats() {
 	hits.Reset()
 	misses.Reset()
 	compileTimer.Reset()
-	cloneTimer.Reset()
 	flatHits.Reset()
 	flatMisses.Reset()
 	flattenTimer.Reset()
@@ -113,20 +101,17 @@ type Stats struct {
 	// FlatHits/FlatMisses count CompileFlat calls served from an existing
 	// flat view vs. ones that built it.
 	FlatHits, FlatMisses int64
-	// ThawHits counts mutable copies served by rebuilding from the cached
-	// flat view instead of deep-cloning the master.
+	// ThawHits counts mutable copies rebuilt from a cached flat view.
 	ThawHits int64
 	// The Untrusted* fields mirror the bounded LRU tier that serves
 	// wire-originated compiles (see untrusted.go).
 	UntrustedHits, UntrustedMisses     int64
 	UntrustedEntries, UntrustedEvicted int64
 	// CompileTime is the total front-end time spent on cache misses;
-	// CloneTime is the total time spent deep-cloning cached modules for
-	// mutating consumers; FlattenTime is the total time spent building
-	// struct-of-arrays views on flat misses; ThawTime is the total time
-	// spent rebuilding mutable modules from cached flat views.
+	// FlattenTime is the total time spent building struct-of-arrays views
+	// on flat misses; ThawTime is the total time spent rebuilding mutable
+	// modules from cached flat views.
 	CompileTime time.Duration
-	CloneTime   time.Duration
 	FlattenTime time.Duration
 	ThawTime    time.Duration
 }
@@ -147,7 +132,6 @@ func Snapshot() Stats {
 		UntrustedEntries: utEntries.Value(),
 		UntrustedEvicted: utEvictions.Value(),
 		CompileTime:      compileTimer.Total(),
-		CloneTime:        cloneTimer.Total(),
 		FlattenTime:      flattenTimer.Total(),
 		ThawTime:         thawTimer.Total(),
 	}
@@ -179,27 +163,9 @@ func lookupEntry(src, name string) (*entry, error) {
 	return ent, ent.err
 }
 
-// Compile returns a freshly cloned module for src that the caller owns and
-// may mutate freely. The underlying compile happens at most once per
-// distinct source for the life of the process.
-func Compile(src, name string) (*ir.Module, error) {
-	if !enabled.Load() {
-		return minic.CompileSource(src, name)
-	}
-	ent, err := lookupEntry(src, name)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	m := ent.mod.Clone()
-	cloneTimer.Observe(time.Since(start))
-	m.Name = name
-	return m, nil
-}
-
 // CompileShared returns the cached master module for src. The caller MUST
 // NOT mutate it (no passes, no obfuscations) — it is shared by every other
-// CompileShared caller and is the template Compile clones from. Use it for
+// CompileShared caller and backs the cached flat view. Use it for
 // read-only consumers: embeddings, n-gram scans, compile checks.
 func CompileShared(src, name string) (*ir.Module, error) {
 	if !enabled.Load() {
@@ -214,8 +180,7 @@ func CompileShared(src, name string) (*ir.Module, error) {
 
 // CompileFlat returns the cached struct-of-arrays view of src's master
 // module, flattening it on first use. Like the master itself the view is
-// shared and strictly read-only; unlike Compile there is nothing to clone —
-// any number of embed/featurize/scan/compile consumers stream the same
+// shared and strictly read-only: any number of embed/featurize/scan/compile consumers stream the same
 // tables concurrently. With the cache disabled the module and its view are
 // built fresh on every call.
 func CompileFlat(src, name string) (*ir.Flat, error) {
@@ -255,16 +220,16 @@ func entFlat(ent *entry) *ir.Flat {
 }
 
 // CompileThaw returns a freshly built module for src that the caller owns
-// and may mutate freely — the same contract as Compile, served the cheap
-// way: instead of deep-cloning the cached master it thaws the cached flat
-// view (ir.Thaw), which allocates the whole module out of a handful of
-// arenas. Transform pipelines, fuzz campaigns and the coevo generation loop
-// draw their mutable copies here; the clone-vs-thaw difftest campaign pins
-// the two paths bit-for-bit equivalent. SetThaw(false) reverts every caller
-// to the clone path.
+// and may mutate freely. It thaws the cached flat view (ir.Thaw), which
+// allocates the whole module out of a handful of arenas; the underlying
+// compile happens at most once per distinct source for the life of the
+// process. Transform pipelines, fuzz campaigns and the coevo generation
+// loop draw their mutable copies here; the difftest thaw campaign pins each
+// thawed copy bit-for-bit against a deep clone of the master. With the
+// cache disabled it returns a fresh front-end compile.
 func CompileThaw(src, name string) (*ir.Module, error) {
-	if !enabled.Load() || !useThaw.Load() {
-		return Compile(src, name)
+	if !enabled.Load() {
+		return minic.CompileSource(src, name)
 	}
 	ent, err := lookupEntry(src, name)
 	if err != nil {

@@ -3,6 +3,8 @@ package progcache
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/minic"
 )
 
 const testSrc = `
@@ -14,11 +16,11 @@ int main() {
 
 func TestCompileHitsAndMisses(t *testing.T) {
 	Reset()
-	m1, err := Compile(testSrc, "a")
+	m1, err := CompileThaw(testSrc, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Compile(testSrc, "b")
+	m2, err := CompileThaw(testSrc, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,39 +32,20 @@ func TestCompileHitsAndMisses(t *testing.T) {
 		t.Fatalf("want 1 entry, got %d", st.Entries)
 	}
 	if m1 == m2 {
-		t.Fatal("Compile returned the same module twice; clones must be private")
+		t.Fatal("CompileThaw returned the same module twice; copies must be private")
 	}
 	if m1.Name != "a" || m2.Name != "b" {
-		t.Fatalf("clone names not applied: %q / %q", m1.Name, m2.Name)
-	}
-}
-
-func TestCloneIsolation(t *testing.T) {
-	Reset()
-	shared, err := CompileShared(testSrc, "s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := shared.String()
-	clone, err := Compile(testSrc, "c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Vandalize the clone; the shared master must not notice.
-	clone.Functions[0].Blocks = nil
-	clone.Name = "wrecked"
-	if got := shared.String(); got != before {
-		t.Fatal("mutating a Compile clone changed the shared master")
+		t.Fatalf("copy names not applied: %q / %q", m1.Name, m2.Name)
 	}
 }
 
 func TestErrorCachedOnce(t *testing.T) {
 	Reset()
 	bad := "int main() { return x_undefined; }"
-	if _, err := Compile(bad, "bad"); err == nil {
+	if _, err := CompileThaw(bad, "bad"); err == nil {
 		t.Fatal("expected a compile error")
 	}
-	if _, err := Compile(bad, "bad"); err == nil {
+	if _, err := CompileThaw(bad, "bad"); err == nil {
 		t.Fatal("expected the cached compile error")
 	}
 	st := Snapshot()
@@ -75,7 +58,7 @@ func TestDisabledBypassesCache(t *testing.T) {
 	Reset()
 	SetEnabled(false)
 	defer SetEnabled(true)
-	if _, err := Compile(testSrc, "x"); err != nil {
+	if _, err := CompileThaw(testSrc, "x"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := CompileShared(testSrc, "y"); err != nil {
@@ -89,7 +72,7 @@ func TestDisabledBypassesCache(t *testing.T) {
 
 func TestCompileThawMatchesClone(t *testing.T) {
 	Reset()
-	cl, err := Compile(testSrc, "m")
+	ref, err := minic.CompileSource(testSrc, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +80,8 @@ func TestCompileThawMatchesClone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if th == cl {
-		t.Fatal("CompileThaw returned a shared module; copies must be private")
-	}
-	if th.String() != cl.String() {
-		t.Fatalf("thawed copy prints differently from clone:\n--- clone ---\n%s\n--- thaw ---\n%s", cl, th)
+	if th.String() != ref.String() {
+		t.Fatalf("thawed copy prints differently from a fresh compile:\n--- compile ---\n%s\n--- thaw ---\n%s", ref, th)
 	}
 	if err := th.Verify(); err != nil {
 		t.Fatalf("thawed copy fails verification: %v", err)
@@ -144,29 +124,6 @@ func TestCompileThawIsolation(t *testing.T) {
 	}
 }
 
-func TestSetThawFallsBackToClone(t *testing.T) {
-	Reset()
-	SetThaw(false)
-	defer SetThaw(true)
-	if ThawEnabled() {
-		t.Fatal("SetThaw(false) not observed")
-	}
-	m, err := CompileThaw(testSrc, "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	st := Snapshot()
-	if st.ThawHits != 0 {
-		t.Fatalf("thaw disabled but counted %d thaw hits", st.ThawHits)
-	}
-	if st.CloneTime <= 0 {
-		t.Fatal("clone fallback did not run")
-	}
-}
-
 func TestConcurrentSingleflight(t *testing.T) {
 	Reset()
 	const goroutines = 16
@@ -177,7 +134,7 @@ func TestConcurrentSingleflight(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				if _, err := Compile(testSrc, "p"); err != nil {
+				if _, err := CompileThaw(testSrc, "p"); err != nil {
 					errs[g] = err
 					return
 				}

@@ -16,7 +16,7 @@ import (
 // serving path breaks that assumption — any client can POST an endless
 // stream of distinct sources to /v1/classify, and each one (including ones
 // that fail to compile) would permanently occupy a process-global slot.
-// CompileUntrusted/CompileFlatUntrusted route those compiles through a
+// CompileFlatUntrusted/CompileThawUntrusted route those compiles through a
 // small LRU instead: sources the harness already pinned are served from the
 // main cache for free, everything else competes for a bounded number of
 // slots, and failed compiles are never retained at all.
@@ -28,8 +28,7 @@ const DefaultUntrustedCap = 512
 
 type untrustedEntry struct {
 	src  string
-	mod  *ir.Module
-	flat *ir.Flat // built lazily on the first CompileFlatUntrusted for src
+	flat *ir.Flat
 }
 
 var (
@@ -100,9 +99,9 @@ func peekPinned(src string) (*entry, bool) {
 	return ent, true
 }
 
-// lookupUntrusted returns src's cached module from the LRU tier, or nil on
+// lookupUntrusted returns src's flat view from the LRU tier, or nil on
 // miss. Bumps recency on hit.
-func lookupUntrusted(src string) *untrustedEntry {
+func lookupUntrusted(src string) *ir.Flat {
 	utMu.Lock()
 	defer utMu.Unlock()
 	el, ok := utIndex[src]
@@ -110,15 +109,15 @@ func lookupUntrusted(src string) *untrustedEntry {
 		return nil
 	}
 	utOrder.MoveToFront(el)
-	return el.Value.(*untrustedEntry)
+	return el.Value.(*untrustedEntry).flat
 }
 
-// insertUntrusted adds a freshly compiled module (and optionally its flat
-// view) to the tier, evicting oldest-first past the cap. A concurrent racer
-// that inserted the same source first wins; the loser's module is dropped.
-// Unlike the pinned cache there is no singleflight: two concurrent compiles
-// of one unseen source waste a compile, not a global lock.
-func insertUntrusted(src string, mod *ir.Module, fl *ir.Flat) {
+// insertUntrusted adds a freshly built flat view to the tier, evicting
+// oldest-first past the cap. A concurrent racer that inserted the same
+// source first wins; the loser's view is dropped. Unlike the pinned cache
+// there is no singleflight: two concurrent compiles of one unseen source
+// waste a compile, not a global lock.
+func insertUntrusted(src string, fl *ir.Flat) {
 	utMu.Lock()
 	defer utMu.Unlock()
 	if utCap <= 0 {
@@ -126,31 +125,28 @@ func insertUntrusted(src string, mod *ir.Module, fl *ir.Flat) {
 	}
 	if el, ok := utIndex[src]; ok {
 		utOrder.MoveToFront(el)
-		ent := el.Value.(*untrustedEntry)
-		if ent.flat == nil && fl != nil {
-			ent.flat = fl
-		}
 		return
 	}
-	utIndex[src] = utOrder.PushFront(&untrustedEntry{src: src, mod: mod, flat: fl})
+	utIndex[src] = utOrder.PushFront(&untrustedEntry{src: src, flat: fl})
 	evictOverCapLocked()
 }
 
-// CompileUntrusted is Compile for wire-originated sources: the caller gets
-// a private clone it may mutate, but the backing module lives in the
-// bounded LRU tier (or the main cache, if the source is already pinned
-// there) instead of growing the pinned cache.
-func CompileUntrusted(src, name string) (*ir.Module, error) {
+// CompileFlatUntrusted is CompileFlat for wire-originated sources, backed
+// by the bounded LRU tier (or the main cache, if the source is already
+// pinned there). The returned view is shared and read-only.
+func CompileFlatUntrusted(src, name string) (*ir.Flat, error) {
 	if !enabled.Load() {
-		return minic.CompileSource(src, name)
+		return CompileFlat(src, name) // same build-fresh path
 	}
 	if ent, ok := peekPinned(src); ok {
+		// Already pinned by the harness: reuse the main cache's flat view
+		// (and its singleflight flatten) rather than duplicating it here.
 		utHits.Inc()
-		return cloneModule(ent.mod, name), nil
+		return entFlat(ent), nil
 	}
-	if ent := lookupUntrusted(src); ent != nil {
+	if fl := lookupUntrusted(src); fl != nil {
 		utHits.Inc()
-		return cloneModule(ent.mod, name), nil
+		return fl, nil
 	}
 	utMisses.Inc()
 	start := time.Now()
@@ -161,67 +157,20 @@ func CompileUntrusted(src, name string) (*ir.Module, error) {
 		// source would let a hostile client churn the whole tier for free.
 		return nil, err
 	}
-	insertUntrusted(src, mod, nil)
-	return cloneModule(mod, name), nil
-}
-
-// CompileFlatUntrusted is CompileFlat for wire-originated sources, backed
-// by the bounded LRU tier. The returned view is shared and read-only.
-func CompileFlatUntrusted(src, name string) (*ir.Flat, error) {
-	if !enabled.Load() {
-		return CompileFlat(src, name) // same build-fresh path
-	}
-	if _, ok := peekPinned(src); ok {
-		// Already pinned by the harness: reuse the main cache's flat view
-		// (and its singleflight flatten) rather than duplicating it here.
-		return CompileFlat(src, name)
-	}
-	utMu.Lock()
-	if el, ok := utIndex[src]; ok {
-		ent := el.Value.(*untrustedEntry)
-		utOrder.MoveToFront(el)
-		fl, mod := ent.flat, ent.mod
-		utMu.Unlock()
-		utHits.Inc()
-		if fl != nil {
-			return fl, nil
-		}
-		// Module cached but never flattened: build the view outside the
-		// lock. Concurrent callers may duplicate the flatten; the insert
-		// keeps whichever view landed first, and both are equivalent.
-		start := time.Now()
-		fl = ir.Flatten(mod)
-		flattenTimer.Observe(time.Since(start))
-		insertUntrusted(src, mod, fl)
-		return fl, nil
-	}
-	utMu.Unlock()
-	utMisses.Inc()
-	start := time.Now()
-	mod, err := minic.CompileSource(src, name)
-	compileTimer.Observe(time.Since(start))
-	if err != nil {
-		return nil, err
-	}
 	fstart := time.Now()
 	fl := ir.Flatten(mod)
 	flattenTimer.Observe(time.Since(fstart))
-	insertUntrusted(src, mod, fl)
+	insertUntrusted(src, fl)
 	return fl, nil
 }
 
 // CompileThawUntrusted is CompileThaw for wire-originated sources: the
-// caller gets a private mutable module thawed from a flat view that lives
-// in the bounded LRU tier (or the main cache, if the source is pinned
-// there). With the thaw path disabled it degrades to CompileUntrusted's
-// clone semantics.
+// caller gets a private mutable module thawed from the flat view that
+// CompileFlatUntrusted serves. With the cache disabled it returns a fresh
+// front-end compile.
 func CompileThawUntrusted(src, name string) (*ir.Module, error) {
-	if !enabled.Load() || !useThaw.Load() {
-		return CompileUntrusted(src, name)
-	}
-	if ent, ok := peekPinned(src); ok {
-		utHits.Inc()
-		return thawModule(entFlat(ent), name), nil
+	if !enabled.Load() {
+		return minic.CompileSource(src, name)
 	}
 	fl, err := CompileFlatUntrusted(src, name)
 	if err != nil {
@@ -235,14 +184,6 @@ func thawModule(fl *ir.Flat, name string) *ir.Module {
 	m := ir.Thaw(fl)
 	thawTimer.Observe(time.Since(start))
 	thawHits.Inc()
-	m.Name = name
-	return m
-}
-
-func cloneModule(mod *ir.Module, name string) *ir.Module {
-	start := time.Now()
-	m := mod.Clone()
-	cloneTimer.Observe(time.Since(start))
 	m.Name = name
 	return m
 }

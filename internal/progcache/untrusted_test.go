@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/minic"
 )
 
 // srcFor builds a distinct valid program per index, so each one occupies
@@ -30,7 +32,7 @@ func TestUntrustedTierIsBounded(t *testing.T) {
 	resetUntrustedCap(t)
 	SetUntrustedCap(4)
 	for i := 0; i < 10; i++ {
-		if _, err := CompileUntrusted(srcFor(i), "m"); err != nil {
+		if _, err := CompileThawUntrusted(srcFor(i), "m"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,7 +53,7 @@ func TestUntrustedTierIsBounded(t *testing.T) {
 
 	// LRU semantics: the most recent 4 survive, hit without compiling.
 	for i := 6; i < 10; i++ {
-		if _, err := CompileUntrusted(srcFor(i), "m"); err != nil {
+		if _, err := CompileFlatUntrusted(srcFor(i), "m"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,12 +69,18 @@ func TestUntrustedTierIsBounded(t *testing.T) {
 func TestUntrustedFailuresNeverRetained(t *testing.T) {
 	resetUntrustedCap(t)
 	SetUntrustedCap(4)
-	if _, err := CompileUntrusted(srcFor(0), "m"); err != nil {
+	if _, err := CompileFlatUntrusted(srcFor(0), "m"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
 		bad := fmt.Sprintf("int main( { %d", i)
-		if _, err := CompileUntrusted(bad, "m"); err == nil {
+		var err error
+		if i%2 == 0 {
+			_, err = CompileFlatUntrusted(bad, "m")
+		} else {
+			_, err = CompileThawUntrusted(bad, "m")
+		}
+		if err == nil {
 			t.Fatal("garbage source compiled")
 		}
 	}
@@ -84,7 +92,7 @@ func TestUntrustedFailuresNeverRetained(t *testing.T) {
 		t.Fatalf("garbage evicted %d good entries", st.UntrustedEvicted)
 	}
 	// The surviving good entry still hits.
-	if _, err := CompileUntrusted(srcFor(0), "m"); err != nil {
+	if _, err := CompileThawUntrusted(srcFor(0), "m"); err != nil {
 		t.Fatal(err)
 	}
 	if got := Snapshot(); got.UntrustedHits != 1 {
@@ -93,26 +101,51 @@ func TestUntrustedFailuresNeverRetained(t *testing.T) {
 }
 
 // TestUntrustedDelegatesToPinned: a source the harness already pinned is
-// served from the main cache without spending an untrusted slot.
+// served from the main cache without spending an untrusted slot, and both
+// untrusted entry points count that as an untrusted-tier hit (not as a hit
+// on the pinned cache's own counters).
 func TestUntrustedDelegatesToPinned(t *testing.T) {
-	resetUntrustedCap(t)
-	src := srcFor(42)
-	if _, err := Compile(src, "pinned"); err != nil {
-		t.Fatal(err)
-	}
-	mod, err := CompileUntrusted(src, "wire")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mod.Name != "wire" {
-		t.Fatalf("clone not renamed: %q", mod.Name)
-	}
-	st := Snapshot()
-	if st.UntrustedHits != 1 || st.UntrustedMisses != 0 {
-		t.Fatalf("pinned source: hits=%d misses=%d, want 1/0", st.UntrustedHits, st.UntrustedMisses)
-	}
-	if st.UntrustedEntries != 0 {
-		t.Fatalf("pinned source consumed %d untrusted slots", st.UntrustedEntries)
+	for _, tc := range []struct {
+		name    string
+		compile func(src, name string) error
+	}{
+		{"flat", func(src, name string) error {
+			_, err := CompileFlatUntrusted(src, name)
+			return err
+		}},
+		{"thaw", func(src, name string) error {
+			m, err := CompileThawUntrusted(src, name)
+			if err == nil && m.Name != name {
+				return fmt.Errorf("thawed copy not renamed: %q", m.Name)
+			}
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resetUntrustedCap(t)
+			src := srcFor(42)
+			if _, err := CompileFlat(src, "pinned"); err != nil {
+				t.Fatal(err)
+			}
+			before := Snapshot()
+			if err := tc.compile(src, "wire"); err != nil {
+				t.Fatal(err)
+			}
+			st := Snapshot()
+			if st.UntrustedHits != 1 || st.UntrustedMisses != 0 {
+				t.Fatalf("pinned source: untrusted hits=%d misses=%d, want 1/0", st.UntrustedHits, st.UntrustedMisses)
+			}
+			if st.Hits != before.Hits || st.Misses != before.Misses {
+				t.Fatalf("pinned source moved the pinned counters: hits %d->%d misses %d->%d",
+					before.Hits, st.Hits, before.Misses, st.Misses)
+			}
+			if st.UntrustedEntries != 0 {
+				t.Fatalf("pinned source consumed %d untrusted slots", st.UntrustedEntries)
+			}
+			if st.FlatMisses != before.FlatMisses {
+				t.Fatal("pinned source flattened again instead of sharing the pinned view")
+			}
+		})
 	}
 }
 
@@ -122,7 +155,7 @@ func TestUntrustedCapZeroBypasses(t *testing.T) {
 	resetUntrustedCap(t)
 	SetUntrustedCap(0)
 	for i := 0; i < 3; i++ {
-		if _, err := CompileUntrusted(srcFor(i), "m"); err != nil {
+		if _, err := CompileThawUntrusted(srcFor(i), "m"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,38 +165,13 @@ func TestUntrustedCapZeroBypasses(t *testing.T) {
 	// And shrinking the cap under live entries evicts immediately.
 	SetUntrustedCap(8)
 	for i := 0; i < 8; i++ {
-		if _, err := CompileUntrusted(srcFor(i), "m"); err != nil {
+		if _, err := CompileFlatUntrusted(srcFor(i), "m"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	SetUntrustedCap(2)
 	if st := Snapshot(); st.UntrustedEntries != 2 {
 		t.Fatalf("shrink left %d entries, want 2", st.UntrustedEntries)
-	}
-}
-
-// TestUntrustedFlatSharesModule: CompileFlatUntrusted reuses the module a
-// plain CompileUntrusted cached and attaches the flat view lazily; a second
-// flat call returns the same shared view without another flatten.
-func TestUntrustedFlatSharesModule(t *testing.T) {
-	resetUntrustedCap(t)
-	src := srcFor(7)
-	if _, err := CompileUntrusted(src, "m"); err != nil {
-		t.Fatal(err)
-	}
-	f1, err := CompileFlatUntrusted(src, "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := CompileFlatUntrusted(src, "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f1 != f2 {
-		t.Fatal("flat view rebuilt instead of shared")
-	}
-	if st := Snapshot(); st.UntrustedEntries != 1 {
-		t.Fatalf("flat path grew the tier to %d entries", st.UntrustedEntries)
 	}
 }
 
@@ -182,7 +190,7 @@ func TestUntrustedConcurrentChurn(t *testing.T) {
 				src := srcFor((w + i) % 10)
 				var err error
 				if i%2 == 0 {
-					_, err = CompileUntrusted(src, "m")
+					_, err = CompileThawUntrusted(src, "m")
 				} else {
 					_, err = CompileFlatUntrusted(src, "m")
 				}
@@ -202,15 +210,15 @@ func TestUntrustedConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestUntrustedThawMatchesClone pins CompileThawUntrusted against
-// CompileUntrusted on both tiers: a fresh wire source (LRU-backed) and a
+// TestUntrustedThawMatchesClone pins CompileThawUntrusted against a fresh
+// front-end compile on both tiers: a fresh wire source (LRU-backed) and a
 // harness-pinned one (main-cache-backed) must thaw to modules that print
-// identically to the clone path and stay private.
+// identically to the reference and stay private.
 func TestUntrustedThawMatchesClone(t *testing.T) {
 	resetUntrustedCap(t)
 
 	// LRU-backed: first call compiles+flattens into the bounded tier.
-	cl, err := CompileUntrusted(srcFor(1), "m")
+	ref, err := minic.CompileSource(srcFor(1), "m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,15 +226,19 @@ func TestUntrustedThawMatchesClone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if th == cl || th.String() != cl.String() {
-		t.Fatal("untrusted thaw diverged from untrusted clone")
+	th1, err := CompileThawUntrusted(srcFor(1), "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if th == th1 || th.String() != ref.String() || th1.String() != ref.String() {
+		t.Fatal("untrusted thaw diverged from a fresh compile")
 	}
 	if st := Snapshot(); st.Entries != 0 {
 		t.Fatalf("untrusted thaw leaked %d entries into the pinned cache", st.Entries)
 	}
 
 	// Pinned-backed: the main cache's flat view serves the thaw.
-	if _, err := Compile(srcFor(2), "m"); err != nil {
+	if _, err := CompileThaw(srcFor(2), "m"); err != nil {
 		t.Fatal(err)
 	}
 	th2, err := CompileThawUntrusted(srcFor(2), "m")
@@ -245,18 +257,7 @@ func TestUntrustedThawMatchesClone(t *testing.T) {
 	if shared.String() != before {
 		t.Fatal("mutating an untrusted thaw changed the pinned master")
 	}
-	if st := Snapshot(); st.ThawHits != 2 {
-		t.Fatalf("want 2 thaw hits, got %+v", st)
-	}
-
-	// Disabled thaw path degrades to clone semantics.
-	SetThaw(false)
-	defer SetThaw(true)
-	m, err := CompileThawUntrusted(srcFor(1), "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Verify(); err != nil {
-		t.Fatal(err)
+	if st := Snapshot(); st.ThawHits != 4 {
+		t.Fatalf("want 4 thaw hits, got %+v", st)
 	}
 }
