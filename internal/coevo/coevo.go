@@ -397,7 +397,8 @@ func (a *arena) generation(gen int, master *rand.Rand) (*GenerationResult, error
 					var err error
 					fl, err = srcobf.FlatView(at.pop.Members[mi].File)
 					if err != nil {
-						// applySeq guarantees members compile; a failure here
+						// srcobf's replay keeps only steps whose result
+						// compiles, so members always compile; a failure here
 						// is a bug, not a data condition — surface as a miss.
 						out.vecs = append(out.vecs, nil)
 						out.evaded = append(out.evaded, false)

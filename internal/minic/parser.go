@@ -2,10 +2,20 @@ package minic
 
 import "fmt"
 
+// maxNesting bounds how deeply statements and expressions may nest (one
+// level per nested statement, parenthesis, unary operand, assignment
+// right-hand side or conditional else-branch). Recursive descent spends
+// stack per level, so without a bound a few hundred kilobytes of "((((("
+// exhaust the goroutine stack and kill the process; past the bound the
+// parser returns an error instead. Generated and obfuscated programs nest
+// a few dozen levels at most.
+const maxNesting = 1000
+
 // Parser builds a File from tokens via recursive descent.
 type Parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int // current nesting, bounded by maxNesting
 }
 
 // Parse parses a MiniC translation unit.
@@ -25,6 +35,18 @@ func Parse(src string) (*File, error) {
 	}
 	return file, nil
 }
+
+// enter descends one nesting level; every successful enter is paired with
+// a leave.
+func (p *Parser) enter() error {
+	if p.depth >= maxNesting {
+		return p.errorf("nesting deeper than %d levels", maxNesting)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 func (p *Parser) atEOF() bool { return p.pos >= len(p.toks) }
 
@@ -314,6 +336,10 @@ func (p *Parser) parseBlock() (*BlockStmt, error) {
 }
 
 func (p *Parser) parseStmt() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	switch {
 	case p.isPunct("{"):
 		return p.parseBlock()
@@ -579,7 +605,11 @@ func (p *Parser) parseAssign() (Expr, error) {
 	t := p.cur()
 	if t.Kind == TokPunct && assignOps[t.Text] {
 		p.pos++
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		rhs, err := p.parseAssign()
+		p.leave()
 		if err != nil {
 			return nil, err
 		}
@@ -603,7 +633,11 @@ func (p *Parser) parseTernary() (Expr, error) {
 	if err := p.expect(":"); err != nil {
 		return nil, err
 	}
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
 	els, err := p.parseTernary()
+	p.leave()
 	if err != nil {
 		return nil, err
 	}
@@ -656,6 +690,10 @@ func containsStr(s []string, x string) bool {
 }
 
 func (p *Parser) parseUnary() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	if t.Kind == TokPunct {
 		switch t.Text {

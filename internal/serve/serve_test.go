@@ -283,6 +283,10 @@ func TestClassifyValidation(t *testing.T) {
 		{"empty", serve.ClassifyRequest{}},
 		{"both", serve.ClassifyRequest{Source: "int main() { return 0; }", Histogram: []float64{1}}},
 		{"broken source", serve.ClassifyRequest{Source: "int main( {"}},
+		// 600 KB of nested parentheses used to overflow the parser's stack
+		// and kill the whole process; it is a parse error like any other.
+		{"deeply nested source", serve.ClassifyRequest{Source: "int main() { return " +
+			strings.Repeat("(", 300000) + "1" + strings.Repeat(")", 300000) + "; }"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

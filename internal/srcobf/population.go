@@ -47,6 +47,11 @@ type Member struct {
 	// only when File never compiled; consumers that need a view
 	// unconditionally fall back to FlatView.
 	Flat *ir.Flat
+
+	// tip is the replay of Seq: the state a move that appends one step
+	// resumes from. For drlsg it runs ahead of File, because the working
+	// sequence always advances while File only improves.
+	tip state
 }
 
 // Population is the persistent state of one evader strategy attacking one
@@ -122,9 +127,9 @@ func NewPopulation(f *minic.File, strategy string, size int, obj Objective, rng 
 		default:
 			// mcmc chains and drlsg searchers start at the original program.
 		}
-		var fl *ir.Flat
-		m.File, fl = applySeq(orig, m.Seq)
-		m.Score, m.Flat = p.score(m.File, fl)
+		m.tip = p.fromOrig(m.Seq)
+		m.File = m.tip.file
+		m.Score, m.Flat = p.score(m.File, m.tip.flat)
 		p.Members = append(p.Members, m)
 	}
 	return p, nil
@@ -150,9 +155,9 @@ func (p *Population) SetObjective(obj Objective) {
 // objective comes back so callers can cache it on the member.
 func (p *Population) score(f *minic.File, fl *ir.Flat) (float64, *ir.Flat) {
 	if fl == nil {
-		// A nil view from applySeq means no step was accepted, so f is an
-		// untouched clone of the original program — its precomputed view is
-		// exact and saves recompiling the same source for every such member.
+		// A nil view from replay means no step was accepted, so f is the
+		// original program — its precomputed view is exact and saves
+		// recompiling the same source for every such member.
 		fl = p.origView
 	}
 	if fl == nil {
@@ -167,6 +172,13 @@ func (p *Population) score(f *minic.File, fl *ir.Flat) (float64, *ir.Flat) {
 		return math.Inf(-1), fl
 	}
 	return s, fl
+}
+
+// fromOrig replays seq from the original program: the move for candidates
+// that do not extend a member's sequence (rs restarts, mcmc drops, ga
+// children).
+func (p *Population) fromOrig(seq []Step) state {
+	return replay(state{file: p.orig}, seq)
 }
 
 // randSeq draws a fresh random sequence the way the batch rs strategy does:
@@ -220,9 +232,9 @@ func (p *Population) Evolve(rng *rand.Rand) {
 		for i := range p.Members {
 			m := &p.Members[i]
 			seq := p.randSeq(names, rng)
-			f, fl := applySeq(p.orig, seq)
-			if s, fl := p.score(f, fl); s > m.Score {
-				m.Seq, m.File, m.Score, m.Flat = seq, f, s, fl
+			st := p.fromOrig(seq)
+			if s, fl := p.score(st.file, st.flat); s > m.Score {
+				m.Seq, m.tip, m.File, m.Score, m.Flat = seq, st, st.file, s, fl
 			}
 		}
 	case "mcmc":
@@ -238,47 +250,52 @@ func (p *Population) Evolve(rng *rand.Rand) {
 	}
 }
 
-// mcmcSteps advances one Metropolis chain mcmcStepsPerGen steps.
+// mcmcSteps advances one Metropolis chain mcmcStepsPerGen steps. An
+// add-step move resumes from the chain's tip; a drop-step move changes the
+// middle of the sequence and replays it from the original program.
 func (p *Population) mcmcSteps(m *Member, names []string, rng *rand.Rand) {
 	for s := 0; s < mcmcStepsPerGen; s++ {
 		var cand []Step
+		var st state
 		if len(m.Seq) > 3 && rng.Float64() < 0.25 {
 			j := rng.Intn(len(m.Seq))
 			cand = append(append([]Step(nil), m.Seq[:j]...), m.Seq[j+1:]...)
+			st = p.fromOrig(cand)
 		} else {
 			cand = append(append([]Step(nil), m.Seq...), Step{names[rng.Intn(len(names))], rng.Int63()})
+			st = replay(m.tip, cand[len(cand)-1:])
 		}
-		f, cfl := applySeq(p.orig, cand)
-		sc, cfl := p.score(f, cfl)
+		sc, cfl := p.score(st.file, st.flat)
 		if math.IsInf(sc, -1) {
 			continue
 		}
 		delta := sc - m.Score
 		if delta >= 0 || rng.Float64() < math.Exp(delta/mcmcTemperature) {
-			m.Seq, m.File, m.Score, m.Flat = cand, f, sc, cfl
+			m.Seq, m.tip, m.File, m.Score, m.Flat = cand, st, st.file, sc, cfl
 		}
 	}
 }
 
 // drlsgRound extends one greedy searcher by its best candidate action; the
-// member keeps the best program seen so far.
+// member keeps the best program seen so far. Every candidate appends one
+// step to the working sequence, so each resumes from the member's tip.
 func (p *Population) drlsgRound(m *Member, names []string, rng *rand.Rand) {
 	type cand struct {
 		seq   []Step
-		file  *minic.File
+		st    state
 		score float64
 		flat  *ir.Flat
 	}
 	var top *cand
 	for w := 0; w < drlsgWidth; w++ {
 		c := append(append([]Step(nil), m.Seq...), Step{names[rng.Intn(len(names))], rng.Int63()})
-		f, fl := applySeq(p.orig, c)
-		s, fl := p.score(f, fl)
+		st := replay(m.tip, c[len(c)-1:])
+		s, fl := p.score(st.file, st.flat)
 		if math.IsInf(s, -1) {
 			continue
 		}
 		if top == nil || s > top.score {
-			top = &cand{c, f, s, fl}
+			top = &cand{c, st, s, fl}
 		}
 	}
 	if top == nil {
@@ -286,9 +303,9 @@ func (p *Population) drlsgRound(m *Member, names []string, rng *rand.Rand) {
 	}
 	// The working sequence always advances (greedy commitment); File/Score
 	// only improve.
-	m.Seq = top.seq
+	m.Seq, m.tip = top.seq, top.st
 	if top.score >= m.Score {
-		m.File, m.Score, m.Flat = top.file, top.score, top.flat
+		m.File, m.Score, m.Flat = top.st.file, top.score, top.flat
 	}
 }
 
@@ -305,9 +322,9 @@ func (p *Population) gaGeneration(names []string, rng *rand.Rand) {
 		} else {
 			cand[rng.Intn(len(cand))] = Step{names[rng.Intn(len(names))], rng.Int63()}
 		}
-		f, fl := applySeq(p.orig, cand)
-		if s, fl := p.score(f, fl); s > m.Score {
-			m.Seq, m.File, m.Score, m.Flat = cand, f, s, fl
+		st := p.fromOrig(cand)
+		if s, fl := p.score(st.file, st.flat); s > m.Score {
+			m.Seq, m.tip, m.File, m.Score, m.Flat = cand, st, st.file, s, fl
 		}
 		return
 	}
@@ -328,9 +345,9 @@ func (p *Population) gaGeneration(names []string, rng *rand.Rand) {
 		} else if rng.Float64() < gaMutationRate {
 			child[rng.Intn(len(child))] = Step{names[rng.Intn(len(names))], rng.Int63()}
 		}
-		f, fl := applySeq(p.orig, child)
-		s, fl := p.score(f, fl)
-		next = append(next, Member{Seq: child, File: f, Score: s, Flat: fl})
+		st := p.fromOrig(child)
+		s, fl := p.score(st.file, st.flat)
+		next = append(next, Member{Seq: child, File: st.file, Score: s, Flat: fl, tip: st})
 	}
 	p.Members = next
 }

@@ -1,0 +1,94 @@
+package srcobf
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/ir"
+	"repro/internal/minic"
+)
+
+// sameState reports how a and b differ ("" when they are equal): the same
+// printed AST, and flat views that FlatDiff cannot tell apart, with nil on
+// both sides counting as equal.
+func sameState(a, b state) string {
+	if pa, pb := minic.Print(a.file), minic.Print(b.file); pa != pb {
+		return "AST differs:\n--- a\n" + pa + "\n--- b\n" + pb
+	}
+	switch {
+	case a.flat == nil && b.flat == nil:
+		return ""
+	case a.flat == nil || b.flat == nil:
+		return "one flat view is nil"
+	}
+	return ir.FlatDiff(a.flat, b.flat)
+}
+
+// TestResumeMatchesReplayFromOrig: a member's tip — built by resuming from
+// the previous tip whenever a move only appends a step — must equal a full
+// replay of its sequence from the original program after every generation,
+// for every strategy, under the default objective and under one that
+// rejects some candidates and drifts downward. The original program must
+// come out untouched.
+func TestResumeMatchesReplayFromOrig(t *testing.T) {
+	set, err := dataset.Generate(2, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// drifting scores every evaluation below the one before, the way a
+	// retraining defender keeps moving the target: each drlsg round then
+	// finds only worse candidates, so the searcher's working sequence runs
+	// ahead of its best File. It also rejects about a third of all
+	// programs, so the moves' discard paths (mcmc's skipped proposal, a
+	// drlsg round with no valid candidate) run too.
+	drifting := func() Objective {
+		calls := 0
+		return func(fl *ir.Flat) (float64, bool) {
+			calls++
+			return -float64(calls), len(fl.Instrs)%3 != 0
+		}
+	}
+	objectives := []struct {
+		name string
+		obj  func() Objective
+	}{{"default", func() Objective { return nil }}, {"drifting", drifting}}
+	drlsgDiverged := 0
+	for _, o := range objectives {
+		for si, smp := range set.Samples {
+			f, err := minic.Parse(smp.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, strat := range StrategyNames() {
+				rng := rand.New(rand.NewSource(int64(si + 1)))
+				p, err := NewPopulation(f, strat, 3, o.obj(), rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				origSrc := minic.Print(p.orig)
+				for g := 0; g <= 6; g++ {
+					if g > 0 {
+						p.Evolve(rng)
+					}
+					for i := range p.Members {
+						m := &p.Members[i]
+						if d := sameState(m.tip, p.fromOrig(m.Seq)); d != "" {
+							t.Fatalf("%s/%s sample %d gen %d member %d: tip is not the replay of Seq: %s",
+								o.name, strat, si, g, i, d)
+						}
+						if strat == "drlsg" && m.tip.file != m.File {
+							drlsgDiverged++
+						}
+					}
+				}
+				if got := minic.Print(p.orig); got != origSrc {
+					t.Fatalf("%s/%s sample %d: the original program was mutated", o.name, strat, si)
+				}
+			}
+		}
+	}
+	if drlsgDiverged == 0 {
+		t.Fatal("no drlsg member ever had a tip past its best program; the test misses the case it is for")
+	}
+}

@@ -11,16 +11,31 @@ import (
 // StrategyNames lists the evader strategies, in the paper's naming.
 func StrategyNames() []string { return []string{"rs", "mcmc", "drlsg", "ga"} }
 
-// applySeq replays a transformation sequence on a fresh clone of orig. A
-// step whose result no longer compiles is skipped — the safety net that
-// keeps every emitted program valid. The probe compile that validated the
-// last accepted step is not thrown away: its flat view comes back alongside
-// the AST (nil when no step compiled), so scoring and the coevo arena reuse
-// it instead of compiling the same program again.
-func applySeq(orig *minic.File, seq []Step) (*minic.File, *ir.Flat) {
-	cur := cloneFile(orig)
+// state is where a replayed sequence leaves a program: the AST after its
+// accepted steps, and the flat view of the probe compile that accepted the
+// last of them (nil when no step was accepted, so file is still the
+// original program). A state's AST is never mutated once built — members,
+// candidates and the population's original program share ASTs freely, and
+// every step works on a fresh clone.
+type state struct {
+	file *minic.File
+	flat *ir.Flat
+}
+
+// replay applies steps on top of from. A step whose result no longer
+// compiles is skipped — the safety net that keeps every emitted program
+// valid. The probe compile that validated the last accepted step is not
+// thrown away: its flat view is the new state's, so scoring and the coevo
+// arena reuse it instead of compiling the same program again.
+//
+// Because every step sees only the AST before it and its own seed,
+// replay(replay(s, a), b) equals replay(s, a+b): a move that appends one
+// step resumes from the member's tip instead of replaying the whole
+// sequence from the original program.
+func replay(from state, steps []Step) state {
+	cur := from.file
 	var lastMod *ir.Module
-	for _, st := range seq {
+	for _, st := range steps {
 		t, err := transformByName(st.Name)
 		if err != nil {
 			continue
@@ -36,9 +51,9 @@ func applySeq(orig *minic.File, seq []Step) (*minic.File, *ir.Flat) {
 		cur, lastMod = cand, mod
 	}
 	if lastMod == nil {
-		return cur, nil
+		return state{file: cur, flat: from.flat}
 	}
-	return cur, ir.Flatten(lastMod)
+	return state{file: cur, flat: ir.Flatten(lastMod)}
 }
 
 // origFlat compiles the original program once and returns its flat IR view

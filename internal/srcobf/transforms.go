@@ -14,41 +14,44 @@ type Transform struct {
 	Apply func(f *minic.File, rng *rand.Rand) bool
 }
 
+// transforms is the catalogue behind Transforms, built once: replay looks
+// a transform up by name for every step it applies.
+var transforms = []Transform{
+	{"for2while", tfFor2While},
+	{"while2for", tfWhile2For},
+	{"while2dowhile", tfWhile2DoWhile},
+	{"if_negate", tfIfNegate},
+	{"switch2if", tfSwitch2If},
+	{"const_unfold", tfConstUnfold},
+	{"dead_var", tfDeadVar},
+	{"dead_if", tfDeadIf},
+	{"commute", tfCommute},
+	{"cmp_flip", tfCmpFlip},
+	{"incdec2compound", tfIncDec2Compound},
+	{"compound2plain", tfCompound2Plain},
+	{"split_decl", tfSplitDecl},
+	{"wrap_block", tfWrapBlock},
+	{"ternary2if", tfTernary2If},
+}
+
 // Transforms returns the fifteen rewrites, mirroring the "15 simpler
 // transformations" Zhang et al. compose (loop restyling, branch reshaping,
 // constant unfolding, dead code, declaration reshuffling, ...).
 func Transforms() []Transform {
-	return []Transform{
-		{"for2while", tfFor2While},
-		{"while2for", tfWhile2For},
-		{"while2dowhile", tfWhile2DoWhile},
-		{"if_negate", tfIfNegate},
-		{"switch2if", tfSwitch2If},
-		{"const_unfold", tfConstUnfold},
-		{"dead_var", tfDeadVar},
-		{"dead_if", tfDeadIf},
-		{"commute", tfCommute},
-		{"cmp_flip", tfCmpFlip},
-		{"incdec2compound", tfIncDec2Compound},
-		{"compound2plain", tfCompound2Plain},
-		{"split_decl", tfSplitDecl},
-		{"wrap_block", tfWrapBlock},
-		{"ternary2if", tfTernary2If},
-	}
+	return append([]Transform(nil), transforms...)
 }
 
 // TransformNames lists the transform names in order.
 func TransformNames() []string {
-	ts := Transforms()
-	names := make([]string, len(ts))
-	for i, t := range ts {
+	names := make([]string, len(transforms))
+	for i, t := range transforms {
 		names[i] = t.Name
 	}
 	return names
 }
 
 func transformByName(name string) (Transform, error) {
-	for _, t := range Transforms() {
+	for _, t := range transforms {
 		if t.Name == name {
 			return t, nil
 		}
