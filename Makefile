@@ -49,13 +49,15 @@
 #                allocs/op for Clone/Thaw/CompileThaw, plus the harness-round
 #                and coevo-generation numbers that ride on the copy path)
 #                -> BENCH_transform.json
+#   make perfbench-check  vet and test the perfbench module (a nested
+#                module, so `go test ./...` at the root never compiles it)
 #   make check   everything CI runs: build + test + race + cross +
 #                serve-smoke + gateway-smoke + coevo-smoke + fuzz-smoke +
-#                fuzz-smoke-vm + thaw-smoke
+#                fuzz-smoke-vm + thaw-smoke + perfbench-check
 
 GO ?= go
 
-.PHONY: build test race bench bench-ir bench-interp bench-coevo bench-transform bench-figures perf cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke fuzz-smoke-vm thaw-smoke fuzz check
+.PHONY: build test race bench bench-ir bench-interp bench-coevo bench-transform bench-figures perf perfbench-check cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke fuzz-smoke-vm thaw-smoke fuzz check
 
 build:
 	$(GO) build ./...
@@ -229,4 +231,10 @@ bench-transform:
 	| $(GO) run ./cmd/benchjson -o BENCH_transform.json
 	@echo wrote BENCH_transform.json
 
-check: build test race cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke fuzz-smoke-vm thaw-smoke
+# perfbench is its own Go module importing the root module's internal
+# packages (embed, progcache, ml, vm, ...); the root `./...` pattern does
+# not reach it, so this is the step that catches an API break there.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
+check: build test race cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke fuzz-smoke-vm thaw-smoke perfbench-check

@@ -37,12 +37,12 @@ int main() {
 
 var graphBuilderNames = []string{"cfg", "cfg_compact", "cdfg", "cdfg_plus", "programl"}
 
-// BenchmarkGraphBuilders measures the production graph-embedding path: the
-// struct-of-arrays builders over a shared ir.Flat view (featurize obtains
+// BenchmarkGraphBuilders measures the production graph-embedding path,
+// embed.Get(name).GraphFlat over a shared ir.Flat view (featurize obtains
 // the view from progcache, so Flatten cost — measured separately by
-// BenchmarkFlatten — is off the per-embed path). The builders allocate only
-// their output: one backing array for all feature rows plus exact-sized
-// edge slices.
+// BenchmarkFlatten — is off the per-embed path). cfg_compact's native flat
+// builder allocates only its output; the others thaw the view and run the
+// pointer builder.
 func BenchmarkGraphBuilders(b *testing.B) {
 	fl := ir.Flatten(benchModule(b))
 	for _, name := range graphBuilderNames {
@@ -59,8 +59,8 @@ func BenchmarkGraphBuilders(b *testing.B) {
 	}
 }
 
-// BenchmarkGraphBuildersPointer is the legacy pointer-walking path, kept as
-// the baseline the flat builders are measured against in BENCH_ir.json.
+// BenchmarkGraphBuildersPointer is the pointer-walking path alone, the
+// baseline the flat entry points are measured against in BENCH_ir.json.
 func BenchmarkGraphBuildersPointer(b *testing.B) {
 	m := benchModule(b)
 	for _, name := range graphBuilderNames {
@@ -96,35 +96,31 @@ func BenchmarkHistogramPointer(b *testing.B) {
 	}
 }
 
-// BenchmarkVectorBuilders measures the remaining flat vector embeddings
-// (milepost's pooled dominator/loop analysis, ir2vec's precomputed vocab).
+// BenchmarkVectorBuilders measures the remaining vector embeddings through
+// embed.Get(name).VecFlat, the entry point featurize calls (neither has a
+// native flat builder, so VecFlat thaws and runs the pointer builder), next
+// to the pointer builders alone.
 func BenchmarkVectorBuilders(b *testing.B) {
 	m := benchModule(b)
 	fl := ir.Flatten(m)
-	b.Run("milepost", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			embed.MilepostFlat(fl)
+	for _, name := range []string{"milepost", "ir2vec"} {
+		emb, err := embed.Get(name)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("milepost_pointer", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			embed.Milepost(m)
-		}
-	})
-	b.Run("ir2vec", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			embed.IR2VecFlat(fl)
-		}
-	})
-	b.Run("ir2vec_pointer", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			embed.IR2Vec(m)
-		}
-	})
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				emb.VecFlat(fl)
+			}
+		})
+		b.Run(name+"_pointer", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				emb.Vec(m)
+			}
+		})
+	}
 }
 
 // BenchmarkIR2VecParallel exercises the seed-vector cache from all CPUs the

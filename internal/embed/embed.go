@@ -55,12 +55,13 @@ const (
 	GraphKind
 )
 
-// Embedding is a named embedding function. Every embedding has two
-// implementations producing identical output: one walking the pointer IR
-// and one streaming the struct-of-arrays ir.Flat view. Callers holding a
-// Flat (the progcache shared path, or any module flattened after its last
-// mutation) should prefer VecFlat/GraphFlat — the flat builders allocate
-// only their output.
+// Embedding is a named embedding function with two entry points producing
+// identical output: one taking the pointer IR and one taking the
+// struct-of-arrays ir.Flat view. Callers holding a Flat (the progcache
+// shared path, or any module flattened after its last mutation) should call
+// VecFlat/GraphFlat. histogram and cfg_compact, the embeddings the
+// workloads run, have native flat builders that allocate only their output;
+// every other embedding thaws the view and runs its pointer builder.
 type Embedding struct {
 	Name string
 	Kind Kind
@@ -91,23 +92,36 @@ func Get(name string) (*Embedding, error) {
 	case "histogram":
 		return &Embedding{Name: name, Kind: VectorKind, Vec: Histogram, VecFlat: HistogramFlat}, nil
 	case "milepost":
-		return &Embedding{Name: name, Kind: VectorKind, Vec: Milepost, VecFlat: MilepostFlat}, nil
+		return vecViaThaw(name, Milepost), nil
 	case "ir2vec":
-		return &Embedding{Name: name, Kind: VectorKind, Vec: IR2Vec, VecFlat: IR2VecFlat}, nil
+		return vecViaThaw(name, IR2Vec), nil
 	case "cfg":
-		return &Embedding{Name: name, Kind: GraphKind, Graph: CFG, GraphFlat: CFGFlat}, nil
+		return graphViaThaw(name, CFG), nil
 	case "cfg_compact":
 		return &Embedding{Name: name, Kind: GraphKind, Graph: CFGCompact, GraphFlat: CFGCompactFlat}, nil
 	case "cdfg":
-		return &Embedding{Name: name, Kind: GraphKind, Graph: CDFG, GraphFlat: CDFGFlat}, nil
+		return graphViaThaw(name, CDFG), nil
 	case "cdfg_compact":
-		return &Embedding{Name: name, Kind: GraphKind, Graph: CDFGCompact, GraphFlat: CDFGCompactFlat}, nil
+		return graphViaThaw(name, CDFGCompact), nil
 	case "cdfg_plus":
-		return &Embedding{Name: name, Kind: GraphKind, Graph: CDFGPlus, GraphFlat: CDFGPlusFlat}, nil
+		return graphViaThaw(name, CDFGPlus), nil
 	case "programl":
-		return &Embedding{Name: name, Kind: GraphKind, Graph: ProGraML, GraphFlat: ProGraMLFlat}, nil
+		return graphViaThaw(name, ProGraML), nil
 	}
 	return nil, fmt.Errorf("embed: unknown embedding %q", name)
+}
+
+// vecViaThaw registers a vector embedding without a native flat builder:
+// VecFlat thaws the view and runs the pointer builder.
+func vecViaThaw(name string, vec func(*ir.Module) Vector) *Embedding {
+	return &Embedding{Name: name, Kind: VectorKind, Vec: vec,
+		VecFlat: func(fl *ir.Flat) Vector { return vec(ir.Thaw(fl)) }}
+}
+
+// graphViaThaw is vecViaThaw for graph embeddings.
+func graphViaThaw(name string, graph func(*ir.Module) *Graph) *Embedding {
+	return &Embedding{Name: name, Kind: GraphKind, Graph: graph,
+		GraphFlat: func(fl *ir.Flat) *Graph { return graph(ir.Thaw(fl)) }}
 }
 
 // Histogram returns the 63-dimensional opcode histogram — "a vector of 63

@@ -1,6 +1,7 @@
 package embed_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -15,11 +16,15 @@ import (
 	"repro/internal/progen"
 )
 
-// The flat builders must produce byte-identical output to the pointer
+// VecFlat/GraphFlat must produce byte-identical output to the pointer
 // builders for every embedding: identical node order, edge order, edge
-// types and bit-for-bit identical feature values. These tests pin that over
-// hand-written samples, shrunk fuzz crashers, a 200-program generated
-// corpus, and optimized/obfuscated variants of a corpus subset.
+// types and bit-for-bit identical feature values. For histogram and
+// cfg_compact this compares the native flat builders against their pointer
+// siblings; for the other seven, whose flat entry point thaws the view and
+// runs the pointer builder, it checks that Flatten followed by Thaw keeps
+// everything the embedding sees. These tests pin that over hand-written
+// samples, shrunk fuzz crashers, a 200-program generated corpus, and
+// optimized/obfuscated variants of a corpus subset.
 
 func vecsIdentical(a, b embed.Vector) bool {
 	if len(a) != len(b) {
@@ -129,7 +134,7 @@ func TestFlatEquivalenceProgenCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v", seed, err)
 		}
-		checkFlatEquiv(t, "progen-"+string(rune('0'+seed%10)), m)
+		checkFlatEquiv(t, fmt.Sprintf("progen seed %d", seed), m)
 	}
 }
 
@@ -151,7 +156,7 @@ func TestFlatEquivalenceTransformed(t *testing.T) {
 			if err := passes.Optimize(m, level); err != nil {
 				t.Fatalf("seed %d: %s: %v", seed, level, err)
 			}
-			checkFlatEquiv(t, level.String(), m)
+			checkFlatEquiv(t, fmt.Sprintf("progen seed %d %s", seed, level), m)
 		}
 		for _, ob := range obfus.Names() {
 			m, err := minic.CompileSource(src, "gen")
@@ -161,7 +166,7 @@ func TestFlatEquivalenceTransformed(t *testing.T) {
 			if err := obfus.Apply(m, ob, rand.New(rand.NewSource(seed))); err != nil {
 				t.Fatalf("seed %d: %s: %v", seed, ob, err)
 			}
-			checkFlatEquiv(t, ob, m)
+			checkFlatEquiv(t, fmt.Sprintf("progen seed %d %s", seed, ob), m)
 		}
 	}
 }

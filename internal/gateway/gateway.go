@@ -43,13 +43,9 @@ type Config struct {
 	// Replicas are the backend base URLs ("host:port" or "http://host:port");
 	// at least one is required.
 	Replicas []string
-	// VNodes is the virtual-node count per replica on the hash ring.
-	VNodes int
 	// MaxAttempts bounds the tries per request, each on a distinct replica
 	// (clamped to the replica count).
 	MaxAttempts int
-	// RetryBackoff is the base delay before a retry, doubling per attempt.
-	RetryBackoff time.Duration
 	// HedgeDelay launches a speculative second attempt on the next replica
 	// when the first has not answered yet; first non-retryable answer wins.
 	// 0 takes the default; negative disables hedging.
@@ -67,8 +63,11 @@ type Config struct {
 }
 
 const (
-	defaultVNodes         = 64
-	defaultMaxAttempts    = 3
+	// defaultVNodes is the virtual-node count per replica on the hash ring.
+	defaultVNodes      = 64
+	defaultMaxAttempts = 3
+	// defaultRetryBackoff is the base delay before a retry, doubling per
+	// attempt.
 	defaultRetryBackoff   = 5 * time.Millisecond
 	defaultHedgeDelay     = 25 * time.Millisecond
 	defaultProbeInterval  = 250 * time.Millisecond
@@ -113,14 +112,8 @@ func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("gateway: no replicas configured")
 	}
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = defaultVNodes
-	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = defaultMaxAttempts
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = defaultRetryBackoff
 	}
 	if cfg.HedgeDelay == 0 {
 		cfg.HedgeDelay = defaultHedgeDelay
@@ -139,7 +132,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:       cfg,
-		ring:      newRing(len(cfg.Replicas), cfg.VNodes),
+		ring:      newRing(len(cfg.Replicas), defaultVNodes),
 		admit:     make(chan struct{}, cfg.MaxInFlight),
 		barrier:   serve.NewDrainBarrier(),
 		mux:       http.NewServeMux(),
@@ -402,7 +395,7 @@ func (g *Gateway) forward(ctx context.Context, key uint64, path string, body []b
 			}
 			last = a
 			if launched < maxAttempts {
-				backoff := g.cfg.RetryBackoff << uint(launched-1)
+				backoff := defaultRetryBackoff << uint(launched-1)
 				t := time.NewTimer(backoff)
 				select {
 				case <-t.C:

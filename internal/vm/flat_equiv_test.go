@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -188,7 +189,7 @@ func TestCompileFlatEquivalenceProgenCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v", seed, err)
 		}
-		checkCompileEquiv(t, "progen", m)
+		checkCompileEquiv(t, fmt.Sprintf("progen seed %d", seed), m)
 	}
 }
 
@@ -209,7 +210,7 @@ func TestCompileFlatEquivalenceTransformed(t *testing.T) {
 			if err := passes.Optimize(m, level); err != nil {
 				t.Fatalf("seed %d: %s: %v", seed, level, err)
 			}
-			checkCompileEquiv(t, level.String(), m)
+			checkCompileEquiv(t, fmt.Sprintf("progen seed %d %s", seed, level), m)
 		}
 		for _, ob := range obfus.Names() {
 			m, err := minic.CompileSource(src, "gen")
@@ -219,7 +220,7 @@ func TestCompileFlatEquivalenceTransformed(t *testing.T) {
 			if err := obfus.Apply(m, ob, rand.New(rand.NewSource(seed))); err != nil {
 				t.Fatalf("seed %d: %s: %v", seed, ob, err)
 			}
-			checkCompileEquiv(t, ob, m)
+			checkCompileEquiv(t, fmt.Sprintf("progen seed %d %s", seed, ob), m)
 		}
 	}
 }
