@@ -3,8 +3,9 @@
 #   make build   compile everything
 #   make test    tier-1 suite (what CI must keep green)
 #   make race    vet + race-detector pass over the concurrent packages
-#                (the game harness, the embeddings and parallel training)
-#                — run on every PR
+#                (the game harness, the embeddings, parallel training, and
+#                the passes, obfuscators and compiler that arena workers run
+#                on private thawed copies) — run on every PR
 #   make bench   kernel/training benchmarks -> BENCH_ml.json
 #   make bench-ir  flat-IR benchmarks (Flatten cost, flat-share vs clone,
 #                graph builders over the flat view) -> BENCH_ir.json
@@ -70,7 +71,8 @@ race:
 	$(GO) test -race ./internal/coevo/... ./internal/core/... ./internal/embed/... \
 		./internal/ir/... ./internal/linalg/... ./internal/ml/... ./internal/obs/... \
 		./internal/progcache/... ./internal/serve/... ./internal/gateway/... \
-		./internal/vm/... ./cmd/arena/...
+		./internal/vm/... ./internal/passes/... ./internal/obfus/... \
+		./internal/minic/... ./cmd/arena/...
 
 # arm64 covers the !amd64 dispatch build; 386 additionally shakes out
 # 64-bit-assuming code on a 32-bit word size.

@@ -1,120 +1,115 @@
 package ir
 
 // DomTree is the dominator tree of a function, computed with the
-// Cooper-Harvey-Kennedy iterative algorithm. Unreachable blocks are absent
-// from all maps.
+// Cooper-Harvey-Kennedy iterative algorithm. The fixpoint runs on RPO
+// indices: Order gives each reachable block its index in RPO, and an
+// unexported slice holds each index's immediate dominator, which Dominates
+// walks. IDom and Children are that same tree keyed by block, filled once
+// the fixpoint settles. Unreachable blocks are absent from all maps.
 type DomTree struct {
 	Fn *Function
 	// IDom maps each block (except the entry) to its immediate dominator.
 	IDom map[*Block]*Block
-	// Children maps each block to the blocks it immediately dominates.
+	// Children maps each block to the blocks it immediately dominates, in
+	// reverse postorder.
 	Children map[*Block][]*Block
 	// Order is a reverse-postorder numbering of the reachable blocks.
 	Order map[*Block]int
 	// RPO is the reachable blocks in reverse postorder.
 	RPO []*Block
+	// idom[i] is the RPO index of RPO[i]'s immediate dominator; idom[0] = 0.
+	idom []int
 	// preds caches the predecessor map used during construction.
 	preds map[*Block][]*Block
 }
 
 // NewDomTree computes the dominator tree of f.
 func NewDomTree(f *Function) *DomTree {
-	t := &DomTree{
-		Fn:       f,
-		IDom:     make(map[*Block]*Block),
-		Children: make(map[*Block][]*Block),
-		Order:    make(map[*Block]int),
-		preds:    f.Preds(),
+	t := newDomTree(f, f.Preds())
+	t.IDom = make(map[*Block]*Block, len(t.RPO))
+	t.Children = make(map[*Block][]*Block)
+	for i, b := range t.RPO {
+		t.IDom[b] = nil
+		if i > 0 {
+			d := t.RPO[t.idom[i]]
+			t.IDom[b] = d
+			t.Children[d] = append(t.Children[d], b)
+		}
 	}
+	return t
+}
+
+// newDomTree computes RPO, Order and the index-based tree of f from its
+// predecessor map. It leaves IDom and Children nil: Verify asks nothing of
+// the tree but Dominates.
+func newDomTree(f *Function, preds map[*Block][]*Block) *DomTree {
+	t := &DomTree{Fn: f, Order: make(map[*Block]int, len(f.Blocks)), preds: preds}
 	if len(f.Blocks) == 0 {
 		return t
 	}
-	// Reverse postorder via iterative DFS.
-	seen := make(map[*Block]bool)
-	var post []*Block
+	// Reverse postorder via iterative DFS, filling rpo from the back; Order
+	// marks the blocks seen so far and gets their RPO indices below.
+	rpo, k := make([]*Block, len(f.Blocks)), len(f.Blocks)
 	type frame struct {
 		b *Block
 		i int
 	}
 	stack := []frame{{f.Entry(), 0}}
-	seen[f.Entry()] = true
+	t.Order[f.Entry()] = 0
 	for len(stack) > 0 {
 		fr := &stack[len(stack)-1]
 		succs := fr.b.Succs()
 		if fr.i < len(succs) {
 			s := succs[fr.i]
 			fr.i++
-			if !seen[s] {
-				seen[s] = true
+			if _, seen := t.Order[s]; !seen {
+				t.Order[s] = 0
 				stack = append(stack, frame{s, 0})
 			}
 			continue
 		}
-		post = append(post, fr.b)
+		k--
+		rpo[k] = fr.b
 		stack = stack[:len(stack)-1]
 	}
-	t.RPO = make([]*Block, len(post))
-	for i := range post {
-		t.RPO[i] = post[len(post)-1-i]
-	}
+	t.RPO = rpo[k:]
+	n := len(t.RPO)
 	for i, b := range t.RPO {
 		t.Order[b] = i
 	}
 
-	entry := f.Entry()
-	t.IDom[entry] = entry
-	changed := true
-	for changed {
+	idom := make([]int, n) // the entry is its own root: idom[0] = 0
+	for i := 1; i < n; i++ {
+		idom[i] = -1
+	}
+	for changed := true; changed; {
 		changed = false
-		for _, b := range t.RPO[1:] {
-			var newIDom *Block
-			for _, p := range t.preds[b] {
-				if t.IDom[p] == nil {
-					continue
-				}
-				if newIDom == nil {
-					newIDom = p
-				} else {
-					newIDom = t.intersect(p, newIDom)
+		for i := 1; i < n; i++ {
+			d := -1
+			for _, p := range preds[t.RPO[i]] {
+				if pi, ok := t.Order[p]; ok && idom[pi] >= 0 {
+					d = intersect(idom, pi, d)
 				}
 			}
-			if newIDom != nil && t.IDom[b] != newIDom {
-				t.IDom[b] = newIDom
+			if idom[i] != d {
+				idom[i] = d
 				changed = true
 			}
 		}
 	}
-	delete(t.IDom, entry)
-	t.IDom[entry] = nil
-	for b, d := range t.IDom {
-		if d != nil {
-			t.Children[d] = append(t.Children[d], b)
-		}
-	}
-	// Deterministic child order.
-	for _, kids := range t.Children {
-		for i := 1; i < len(kids); i++ {
-			for j := i; j > 0 && t.Order[kids[j]] < t.Order[kids[j-1]]; j-- {
-				kids[j], kids[j-1] = kids[j-1], kids[j]
-			}
-		}
-	}
+	t.idom = idom
 	return t
 }
 
-func (t *DomTree) intersect(a, b *Block) *Block {
-	for a != b {
-		for t.Order[a] > t.Order[b] {
-			if t.IDom[a] == nil {
-				return b
-			}
-			a = t.IDom[a]
+// intersect returns the nearest common dominator of RPO indices a and b, or
+// a when b is -1 (no dominator found yet).
+func intersect(idom []int, a, b int) int {
+	for b >= 0 && a != b {
+		for a > b {
+			a = idom[a]
 		}
-		for t.Order[b] > t.Order[a] {
-			if t.IDom[b] == nil {
-				return a
-			}
-			b = t.IDom[b]
+		for b > a {
+			b = idom[b]
 		}
 	}
 	return a
@@ -122,13 +117,15 @@ func (t *DomTree) intersect(a, b *Block) *Block {
 
 // Dominates reports whether block a dominates block b (reflexively).
 func (t *DomTree) Dominates(a, b *Block) bool {
-	for b != nil {
-		if a == b {
-			return true
-		}
-		b = t.IDom[b]
+	ai, aok := t.Order[a]
+	bi, bok := t.Order[b]
+	if !aok || !bok {
+		return a == b && b != nil
 	}
-	return false
+	for bi > ai {
+		bi = t.idom[bi]
+	}
+	return bi == ai
 }
 
 // Frontiers computes the dominance frontier of every reachable block.

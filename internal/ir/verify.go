@@ -18,8 +18,9 @@ func (m *Module) Verify() error {
 
 // Verify checks that the function is structurally well-formed:
 //   - every block ends in exactly one terminator, with no terminator mid-block;
-//   - phi nodes appear only at block heads and their incoming blocks match
-//     the block's predecessors exactly;
+//   - phi nodes appear only at block heads and have one incoming block per
+//     value; the set of incoming blocks equals the set of the block's
+//     predecessors (how often each appears is not checked);
 //   - operand counts and basic operand types are consistent with opcodes;
 //   - every instruction-operand is defined in this function and (for
 //     reachable code) its definition dominates the use.
@@ -27,9 +28,13 @@ func (f *Function) Verify() error {
 	if f.IsDecl() {
 		return nil
 	}
-	defined := make(map[*Instr]bool)
-	f.ForEachInstr(func(in *Instr) { defined[in] = true })
-
+	// idx is each instruction's index in its block; keys are f's instructions.
+	idx := make(map[*Instr]int, f.NumInstrs())
+	for _, b := range f.Blocks {
+		for i, in := range b.Instrs {
+			idx[in] = i
+		}
+	}
 	preds := f.Preds()
 	for _, b := range f.Blocks {
 		if len(b.Instrs) == 0 {
@@ -58,8 +63,10 @@ func (f *Function) Verify() error {
 				}
 			}
 			for _, a := range in.Args {
-				if ai, ok := a.(*Instr); ok && !defined[ai] {
-					return fmt.Errorf("block %s: %s uses instruction from another function", b.Label(), in.Op)
+				if ai, ok := a.(*Instr); ok {
+					if _, defined := idx[ai]; !defined {
+						return fmt.Errorf("block %s: %s uses instruction from another function", b.Label(), in.Op)
+					}
 				}
 				if p, ok := a.(*Param); ok {
 					if p.Index >= len(f.Params) || f.Params[p.Index] != p {
@@ -69,7 +76,7 @@ func (f *Function) Verify() error {
 			}
 		}
 	}
-	return f.verifyDominance()
+	return f.verifyDominance(idx, preds)
 }
 
 func checkPhi(in *Instr, preds []*Block) error {
@@ -202,16 +209,10 @@ func checkOperands(in *Instr) error {
 
 // verifyDominance checks that in reachable code every instruction operand's
 // definition dominates its use (phi uses are checked at the incoming edge).
-func (f *Function) verifyDominance() error {
-	dt := NewDomTree(f)
-	defBlock := make(map[*Instr]*Block)
-	defIdx := make(map[*Instr]int)
-	for _, b := range f.Blocks {
-		for i, in := range b.Instrs {
-			defBlock[in] = b
-			defIdx[in] = i
-		}
-	}
+// idx is each instruction's index in its block. Verify has checked every
+// Parent, so an instruction occurs in its Parent block and nowhere else.
+func (f *Function) verifyDominance(idx map[*Instr]int, preds map[*Block][]*Block) error {
+	dt := newDomTree(f, preds)
 	for _, b := range dt.RPO {
 		for i, in := range b.Instrs {
 			for ai, a := range in.Args {
@@ -219,7 +220,7 @@ func (f *Function) verifyDominance() error {
 				if !ok {
 					continue
 				}
-				db := defBlock[d]
+				db := d.Parent
 				if _, reachable := dt.Order[db]; !reachable {
 					return fmt.Errorf("%s in %s uses value defined in unreachable block", in.Op, b.Label())
 				}
@@ -235,7 +236,7 @@ func (f *Function) verifyDominance() error {
 					continue
 				}
 				if db == b {
-					if defIdx[d] >= i {
+					if idx[d] >= i {
 						return fmt.Errorf("%s in %s uses %s before definition", in.Op, b.Label(), d.Ref())
 					}
 				} else if !dt.Dominates(db, b) {
