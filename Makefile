@@ -2,7 +2,7 @@
 #
 #   make build   compile everything
 #   make test    tier-1 suite (what CI must keep green)
-#   make race    vet + race-detector pass over the concurrent packages
+#   make race    vet + gofmt + race-detector pass over the concurrent packages
 #                (the game harness, the embeddings, parallel training, and
 #                the passes, obfuscators and compiler that arena workers run
 #                on private thawed copies) — run on every PR
@@ -68,6 +68,7 @@ test: build
 
 race:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 	$(GO) test -race ./internal/coevo/... ./internal/core/... ./internal/embed/... \
 		./internal/ir/... ./internal/linalg/... ./internal/ml/... ./internal/obs/... \
 		./internal/progcache/... ./internal/serve/... ./internal/gateway/... \

@@ -472,14 +472,13 @@ func BenchmarkAblationForestSize(b *testing.B) {
 
 // BenchmarkHarnessRounds measures the experiment harness itself on a
 // repeated-rounds workload (the shape of every figure: N rounds over one
-// dataset). "serial-nocache" is the historical configuration — rounds
-// played one after another, every sample recompiled from MiniC source each
-// round. "parallel-cached" is the current default: the progcache compiles
-// each distinct source once and hands out clones, and RunRoundsN plays the
-// rounds on a worker pool. Same seeds, bit-identical accuracies; the
-// ns/op ratio between the two sub-benchmarks is the harness speedup —
-// ≥ 3x from compile caching alone on a single core, more with cores since
-// the rounds (including the serial model fits) then overlap.
+// dataset). "serial-cold" plays the rounds one after another on an empty
+// compile cache (progcache.Reset every iteration), so each iteration pays
+// the front end once per distinct source. "parallel-cached" is the steady
+// state: every source is already pinned, each round thaws private copies
+// from the cached flat views, and RunRoundsN plays the rounds on a worker
+// pool. Same seeds, bit-identical accuracies; the ns/op ratio between the
+// two sub-benchmarks is what a warm cache and parallel rounds save.
 func BenchmarkHarnessRounds(b *testing.B) {
 	set := benchSet(b, 6, 10)
 	cfg := core.GameConfig{
@@ -487,11 +486,12 @@ func BenchmarkHarnessRounds(b *testing.B) {
 		Pipeline: core.Pipeline{Embedding: "histogram", Model: "rf"},
 	}
 	const rounds = 6
-	run := func(b *testing.B, workers int, cached bool) {
-		progcache.SetEnabled(cached)
-		defer progcache.SetEnabled(true)
+	run := func(b *testing.B, workers int, cold bool) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			if cold {
+				progcache.Reset()
+			}
 			c := cfg
 			c.Seed = int64(i + 1)
 			if _, _, err := core.RunRoundsN(set, c, rounds, workers); err != nil {
@@ -499,8 +499,8 @@ func BenchmarkHarnessRounds(b *testing.B) {
 			}
 		}
 	}
-	b.Run("serial-nocache", func(b *testing.B) { run(b, 1, false) })
-	b.Run("parallel-cached", func(b *testing.B) { run(b, 0, true) })
+	b.Run("serial-cold", func(b *testing.B) { run(b, 1, true) })
+	b.Run("parallel-cached", func(b *testing.B) { run(b, 0, false) })
 }
 
 // BenchmarkCompile measures raw front-end throughput (not a paper figure;

@@ -40,7 +40,6 @@ func cmdGateway(args []string) error {
 	classes := fs.Int("classes", 8, "problem classes when training missing snapshots")
 	per := fs.Int("per", 12, "solutions per class when training missing snapshots")
 	seed := fs.Int64("seed", 1, "training seed for missing snapshots")
-	cacheCap := fs.Int("cache-cap", -1, "replica -cache-cap passthrough (-1 = replica default)")
 	retries := fs.Int("retries", 3, "max attempts per request, each on a distinct replica")
 	hedge := fs.Duration("hedge", 0, "hedge delay before a speculative second attempt (0 = default, negative disables)")
 	probe := fs.Duration("probe", 250*time.Millisecond, "replica /healthz polling period")
@@ -93,9 +92,6 @@ func cmdGateway(args []string) error {
 				"-classes", strconv.Itoa(*classes),
 				"-per", strconv.Itoa(*per),
 				"-seed", strconv.FormatInt(*seed, 10),
-			}
-			if *cacheCap >= 0 {
-				cargs = append(cargs, "-cache-cap", strconv.Itoa(*cacheCap))
 			}
 			if err := sup.launch(replicaAddr, cargs); err != nil {
 				stopChildren()

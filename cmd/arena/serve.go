@@ -45,8 +45,6 @@ func cmdServe(args []string) error {
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request deadline (504 past it)")
 	engine := fs.String("engine", "tree",
 		"execution engine for transform requests with execute=true (tree = reference interpreter, vm = compiled bytecode)")
-	cacheCap := fs.Int("cache-cap", progcache.DefaultUntrustedCap,
-		"LRU slots for compiles of client-supplied sources (0 disables retention)")
 	verbose := fs.Bool("v", false, "print the obs footer after shutdown")
 	o := addObs(fs)
 	if err := fs.Parse(args); err != nil {
@@ -56,7 +54,6 @@ func cmdServe(args []string) error {
 	if len(names) == 0 {
 		return fmt.Errorf("serve: -models is empty")
 	}
-	progcache.SetUntrustedCap(*cacheCap)
 	rec, err := o.begin("serve", fs, *seed, *verbose)
 	if err != nil {
 		return err
@@ -211,7 +208,7 @@ func cmdLoadgen(args []string) error {
 	}
 	vectors := make([][]float64, 0, len(set.Samples))
 	for _, s := range set.Samples {
-		v, err := core.EmbedSource(s.Source, *embedding)
+		v, err := core.EmbedSource(progcache.Default, s.Source, *embedding)
 		if err != nil {
 			return err
 		}

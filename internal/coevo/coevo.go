@@ -44,6 +44,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/minic"
 	"repro/internal/ml"
+	"repro/internal/progcache"
 	"repro/internal/srcobf"
 	"repro/internal/stats"
 )
@@ -252,7 +253,7 @@ func newArena(cfg *Config) (*arena, error) {
 		if err != nil {
 			return nil, fmt.Errorf("coevo: attack program %d: %w", i, err)
 		}
-		vec, err := core.EmbedSource(smp.Source, cfg.Embedding)
+		vec, err := core.EmbedSource(progcache.Default, smp.Source, cfg.Embedding)
 		if err != nil {
 			return nil, err
 		}
@@ -298,7 +299,7 @@ func (a *arena) featurize(samples []dataset.Sample) ([][]float64, []int, error) 
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			v, err := core.EmbedSource(samples[i].Source, a.cfg.Embedding)
+			v, err := core.EmbedSource(progcache.Default, samples[i].Source, a.cfg.Embedding)
 			if err != nil {
 				errs[i] = err
 				return

@@ -34,26 +34,16 @@ func vectorEmbedding(name string) (*embed.Embedding, error) {
 	return emb, nil
 }
 
-// EmbedSource compiles src through the shared compile-once cache and
-// returns its vector embedding. Read-only on the cached module: concurrent
-// callers share one compiled master.
-func EmbedSource(src, embedding string) (embed.Vector, error) {
-	return embedSource(progcache.CompileFlat, src, embedding)
-}
-
-// EmbedSourceUntrusted is EmbedSource for sources arriving over the wire:
-// the compile goes through progcache's bounded untrusted tier, so arbitrary
-// client traffic cannot grow the pinned process-wide cache without limit.
-func EmbedSourceUntrusted(src, embedding string) (embed.Vector, error) {
-	return embedSource(progcache.CompileFlatUntrusted, src, embedding)
-}
-
-func embedSource(compileFlat func(src, name string) (*ir.Flat, error), src, embedding string) (embed.Vector, error) {
+// EmbedSource compiles src through cache and returns its vector
+// embedding. Read-only on the cached module: concurrent callers share one
+// compiled master. The harness passes progcache.Default; a server passes
+// its own bounded cache, so client traffic cannot grow the pinned one.
+func EmbedSource(cache *progcache.Cache, src, embedding string) (embed.Vector, error) {
 	emb, err := vectorEmbedding(embedding)
 	if err != nil {
 		return nil, err
 	}
-	fl, err := compileFlat(src, "prog")
+	fl, err := cache.Flat(src, "prog")
 	if err != nil {
 		return nil, err
 	}
@@ -63,20 +53,19 @@ func embedSource(compileFlat func(src, name string) (*ir.Flat, error), src, embe
 	return v, nil
 }
 
-// TransformEmbedUntrusted runs the named evader pipeline over src (seeded,
-// so the stochastic evaders replay) and returns the transformed module's
-// printed IR together with its vector embedding — the payload a
-// classifier-side verdict on the evaded program needs. The O0 compile goes
-// through progcache's bounded untrusted tier, since src is client-supplied.
-func TransformEmbedUntrusted(src, evader, embedding string, seed int64) (string, embed.Vector, error) {
-	m, v, err := transformEmbedModule(src, evader, embedding, seed)
+// TransformEmbed runs the named evader pipeline over src (seeded, so the
+// stochastic evaders replay) and returns the transformed module's printed
+// IR together with its vector embedding — the payload a classifier-side
+// verdict on the evaded program needs. The O0 compile goes through cache.
+func TransformEmbed(cache *progcache.Cache, src, evader, embedding string, seed int64) (string, embed.Vector, error) {
+	m, v, err := transformEmbedModule(cache, src, evader, embedding, seed)
 	if err != nil {
 		return "", nil, err
 	}
 	return m.String(), v, nil
 }
 
-func transformEmbedModule(src, evader, embedding string, seed int64) (*ir.Module, embed.Vector, error) {
+func transformEmbedModule(cache *progcache.Cache, src, evader, embedding string, seed int64) (*ir.Module, embed.Vector, error) {
 	emb, err := vectorEmbedding(embedding)
 	if err != nil {
 		return nil, nil, err
@@ -84,7 +73,7 @@ func transformEmbedModule(src, evader, embedding string, seed int64) (*ir.Module
 	if err := ValidateEvader(evader); err != nil {
 		return nil, nil, err
 	}
-	m, err := transformFrom(progcache.CompileThawUntrusted, src, evader, rand.New(rand.NewSource(seed)))
+	m, err := transformFrom(cache.Thaw, src, evader, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -110,16 +99,16 @@ type ExecObs struct {
 // past it reports a budget trap instead of stalling the server.
 const ExecMaxSteps = 16 << 20
 
-// TransformEmbedRunUntrusted is TransformEmbedUntrusted plus execution of
-// the transformed module on the named engine ("" = tree interpreter, "vm" =
-// compiled bytecode). Traps are reported in the observation, not as an
-// error: a trapping evaded program is still a servable result.
-func TransformEmbedRunUntrusted(src, evader, embedding string, seed int64, engine string) (string, embed.Vector, *ExecObs, error) {
+// TransformEmbedRun is TransformEmbed plus execution of the transformed
+// module on the named engine ("" = tree interpreter, "vm" = compiled
+// bytecode). Traps are reported in the observation, not as an error: a
+// trapping evaded program is still a servable result.
+func TransformEmbedRun(cache *progcache.Cache, src, evader, embedding string, seed int64, engine string) (string, embed.Vector, *ExecObs, error) {
 	eng, err := interp.EngineByName(engine)
 	if err != nil {
 		return "", nil, nil, err
 	}
-	m, v, err := transformEmbedModule(src, evader, embedding, seed)
+	m, v, err := transformEmbedModule(cache, src, evader, embedding, seed)
 	if err != nil {
 		return "", nil, nil, err
 	}

@@ -6,12 +6,13 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/ir"
+	"repro/internal/progcache"
 )
 
 const apiTestSrc = `int main() { int i; int s; s = 0; for (i = 0; i < 10; i = i + 1) { s = s + i; } return s; }`
 
 func TestEmbedSource(t *testing.T) {
-	v, err := EmbedSource(apiTestSrc, "histogram")
+	v, err := EmbedSource(progcache.Default, apiTestSrc, "histogram")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,20 +27,21 @@ func TestEmbedSource(t *testing.T) {
 		t.Fatal("histogram of a non-empty program is all zeros")
 	}
 
-	if _, err := EmbedSource(apiTestSrc, "nope"); err == nil {
+	if _, err := EmbedSource(progcache.Default, apiTestSrc, "nope"); err == nil {
 		t.Fatal("unknown embedding accepted")
 	}
-	if _, err := EmbedSource(apiTestSrc, "cfg"); err == nil ||
+	if _, err := EmbedSource(progcache.Default, apiTestSrc, "cfg"); err == nil ||
 		!strings.Contains(err.Error(), "graph-shaped") {
 		t.Fatalf("graph embedding should be rejected with guidance, got %v", err)
 	}
-	if _, err := EmbedSource("int main( {", "histogram"); err == nil {
+	if _, err := EmbedSource(progcache.Default, "int main( {", "histogram"); err == nil {
 		t.Fatal("broken source compiled")
 	}
 }
 
 func TestTransformEmbed(t *testing.T) {
-	irText, v, err := TransformEmbedUntrusted(apiTestSrc, "sub", "histogram", 7)
+	cache := progcache.New(4)
+	irText, v, err := TransformEmbed(cache, apiTestSrc, "sub", "histogram", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func TestTransformEmbed(t *testing.T) {
 		t.Fatalf("embedding has %d dims, want %d", len(v), ir.NumOpcodes)
 	}
 	// Same seed replays identically.
-	ir2, v2, err := TransformEmbedUntrusted(apiTestSrc, "sub", "histogram", 7)
+	ir2, v2, err := TransformEmbed(cache, apiTestSrc, "sub", "histogram", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func TestTransformEmbed(t *testing.T) {
 		}
 	}
 
-	if _, _, err := TransformEmbedUntrusted(apiTestSrc, "warp-drive", "histogram", 1); err == nil {
+	if _, _, err := TransformEmbed(cache, apiTestSrc, "warp-drive", "histogram", 1); err == nil {
 		t.Fatal("unknown evader accepted")
 	}
 }
@@ -84,7 +86,7 @@ func TestTrainVectorModels(t *testing.T) {
 	for name, m := range models {
 		hits := 0
 		for _, s := range set.Samples {
-			v, err := EmbedSource(s.Source, "histogram")
+			v, err := EmbedSource(progcache.Default, s.Source, "histogram")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,11 +13,11 @@ import (
 )
 
 // TestRunGameCacheInvariant is the copy-before-mutate regression guard:
-// with a fixed seed, RunGame must return bit-identical Accuracy/F1 whether
-// the compile cache is enabled or not, and under GOMAXPROCS=1 vs. many.
-// A cached master leaking mutations (a missing copy, a field ir.Thaw shares
-// instead of rebuilding) shows up here as a divergence between the
-// configurations.
+// with a fixed seed, RunGame must return bit-identical Accuracy/F1 on a
+// cold compile cache, on a warm one, and under GOMAXPROCS=1 vs. many. A
+// cached master leaking mutations (a missing copy, a field ir.Thaw shares
+// instead of rebuilding) shows up here as a divergence between the cold
+// run and the runs after it.
 func TestRunGameCacheInvariant(t *testing.T) {
 	set := smallSet(t, 5, 8, 31)
 	cfgs := []core.GameConfig{
@@ -35,20 +35,17 @@ func TestRunGameCacheInvariant(t *testing.T) {
 		return outcome{res.Accuracy, res.F1}
 	}
 	for _, cfg := range cfgs {
-		progcache.SetEnabled(true)
-		cachedCold := run(cfg) // may populate the cache
-		cachedWarm := run(cfg) // served from the cache
-		progcache.SetEnabled(false)
-		uncached := run(cfg)
-		progcache.SetEnabled(true)
+		progcache.Reset()
+		cold := run(cfg) // compiles every sample
+		warm := run(cfg) // served from the cache
 
 		old := runtime.GOMAXPROCS(1)
 		serial := run(cfg)
 		runtime.GOMAXPROCS(old)
 
-		if cachedCold != cachedWarm || cachedWarm != uncached || uncached != serial {
-			t.Fatalf("game %d: results depend on cache/parallelism: cold=%v warm=%v uncached=%v serial=%v",
-				cfg.Game, cachedCold, cachedWarm, uncached, serial)
+		if cold != warm || warm != serial {
+			t.Fatalf("game %d: results depend on cache/parallelism: cold=%v warm=%v serial=%v",
+				cfg.Game, cold, warm, serial)
 		}
 	}
 }

@@ -60,7 +60,7 @@ func ValidateEvader(name string) error {
 //	bcf/fla/sub/ollvm      O-LLVM-style IR obfuscations
 //	rs/mcmc/drlsg/ga       Zhang-style source-level strategies
 //
-// The O0 compile of src is served from the process-wide progcache; every
+// The O0 compile of src is served from the pinned progcache.Default; every
 // branch that mutates the module works on a private copy thawed from the
 // cached flat view (progcache.CompileThaw), so repeated transforms of the
 // same source skip the front end.

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/minic"
+	"repro/internal/obs"
 	"repro/internal/progen"
 )
 
@@ -54,6 +55,21 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(statsNoTiming(a), statsNoTiming(b)) {
 		t.Fatalf("stats differ across worker counts:\n%+v\nvs\n%+v", statsNoTiming(a), statsNoTiming(b))
+	}
+}
+
+// TestCampaignKeepsCacheCounters: the campaign resets the compile cache
+// to bound its memory, but the progcache counters must survive that, or
+// no fuzz manifest could report the compiles it made.
+func TestCampaignKeepsCacheCounters(t *testing.T) {
+	before := obs.Capture()
+	if _, err := RunCampaign(CampaignConfig{N: 4, Seed: 7, Workers: 1, Set: "module"}); err != nil {
+		t.Fatal(err)
+	}
+	d := obs.Capture().Sub(before)
+	if d.Counters["progcache.misses"] <= 0 || d.Counters["progcache.thaw.hits"] <= 0 {
+		t.Fatalf("campaign delta lost the cache counters: misses=%d thaw.hits=%d",
+			d.Counters["progcache.misses"], d.Counters["progcache.thaw.hits"])
 	}
 }
 

@@ -72,7 +72,7 @@ func engineNamesLocked() []string {
 // treeEngine adapts the tree-walking interpreter to the Engine interface.
 type treeEngine struct{}
 
-func (treeEngine) Name() string                                   { return "tree" }
+func (treeEngine) Name() string                                    { return "tree" }
 func (treeEngine) Run(m *ir.Module, opts Options) (*Result, error) { return Run(m, opts) }
 
 func init() { RegisterEngine(treeEngine{}) }

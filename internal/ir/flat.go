@@ -386,14 +386,14 @@ func Flatten(m *Module) *Flat {
 	}
 
 	fl := &Flat{
-		Mod:        m,
-		Funcs:      make([]FlatFunc, len(m.Functions)),
-		Blocks:     make([]FlatBlock, 0, nBlocks),
-		Ops:        make([]uint8, 0, nInstr),
-		Instrs:     make([]FlatInstr, 0, nInstr+1),
-		Operands:   make([]Operand, 0, nOper),
-		BlockArgs:  make([]int32, 0, nBArg),
-		SwitchVals: make([]int64, 0, nSw),
+		Mod:         m,
+		Funcs:       make([]FlatFunc, len(m.Functions)),
+		Blocks:      make([]FlatBlock, 0, nBlocks),
+		Ops:         make([]uint8, 0, nInstr),
+		Instrs:      make([]FlatInstr, 0, nInstr+1),
+		Operands:    make([]Operand, 0, nOper),
+		BlockArgs:   make([]int32, 0, nBArg),
+		SwitchVals:  make([]int64, 0, nSw),
 		ParamNames:  make([]string, 0, nParams),
 		ParamTypes:  make([]int32, 0, nParams),
 		NumModFuncs: int32(len(m.Functions)),

@@ -64,9 +64,9 @@ var parserSeeds = []string{
 	"int main() { int x = 1; x += 2; x <<= 1; x ^= 3; return x % 7; }",
 	"int rec(int n) { if (n <= 0) { return 1; } return n * rec(n - 1); } int main() { return rec(5); }",
 	"int main() { if (1 && 0 || !0) { return 1; } else { return 2; } }",
-	"int main() { break; }",       // parses or errors, must not panic
-	"int main() { return",         // truncated input
-	"struct s { int",              // truncated struct
-	"int main() { int x = 08; }",  // odd literal
-	"\x00\xff{{{",                 // garbage bytes
+	"int main() { break; }",      // parses or errors, must not panic
+	"int main() { return",        // truncated input
+	"struct s { int",             // truncated struct
+	"int main() { int x = 08; }", // odd literal
+	"\x00\xff{{{",                // garbage bytes
 }

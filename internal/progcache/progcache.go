@@ -1,23 +1,22 @@
-// Package progcache is a process-wide compile-once cache for MiniC
-// sources. Every experiment in the harness replays the same dataset
-// sources across rounds, games, embeddings and models; the front end is
-// deterministic, so the O0 compile of a given source is an immutable
-// artifact that can be compiled once and reused everywhere (the same move
-// as a compiler's module cache). Consumers that go on to mutate the module
-// with passes or obfuscations receive a private copy thawed from the
-// cached flat view (CompileThaw); read-only consumers can share the master
-// directly.
+// Package progcache is a compile-once cache for MiniC sources. The front
+// end is deterministic, so the O0 compile of a source is an immutable
+// artifact: a Cache compiles it once, lazily builds its struct-of-arrays
+// view (ir.Flatten) at most once, and shares both. Read-only consumers
+// (embedders, distance analyses, antivirus scoring, the bytecode compiler)
+// walk the shared flat tables; consumers that mutate the module with
+// passes or obfuscations get a private copy thawed from them (Thaw).
 //
-// Alongside each master module the cache lazily materializes its
-// struct-of-arrays view (ir.Flatten), built at most once per entry and
-// shared by every CompileFlat caller: the embedding pipeline, distance
-// analyses, antivirus scoring and the bytecode compiler all walk the same
-// immutable flat tables with zero per-call cloning or indexing.
+// One Cache type serves two policies. Default pins every entry for the
+// life of the process: the harness replays one fixed dataset across every
+// game, evader, embedding and model, so pinning is the point. A Cache
+// built with New(n) keeps at most n entries, evicting the least recently
+// used: each serve.Server owns one, because any client can POST an endless
+// stream of distinct sources. Neither policy retains a failed compile.
 package progcache
 
 import (
+	"container/list"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ir"
@@ -25,35 +24,36 @@ import (
 	"repro/internal/obs"
 )
 
-// entry is one cache slot. The sync.Onces serialize the first compile of a
-// source and the first flatten of its master (singleflight) without
-// holding any global lock. The flat view is invalidated with the entry —
-// it lives and dies with the master module it indexes.
-type entry struct {
-	once sync.Once
-	mod  *ir.Module
-	err  error
-	// ready flips once the compile in once.Do has finished, so the
-	// untrusted tier can peek at settled entries without touching the Once
-	// (a no-op Do would race the storing goroutine's real Do and could mark
-	// the entry done before it ever compiled).
-	ready atomic.Bool
+// DefaultUntrustedCap is the slot bound of a server's cache: large enough
+// that a loadgen replaying a working set re-hits it, small enough that
+// hostile traffic tops out in the tens of megabytes.
+const DefaultUntrustedCap = 512
 
-	flatOnce sync.Once
-	flat     *ir.Flat
+// counters is where one cache policy reports. They live in the obs
+// registry ("progcache.*"), so run manifests, /metricz and the expvar
+// endpoint see them; Snapshot serves a struct view over the same metrics.
+type counters struct {
+	hits, misses, evictions *obs.Counter
+	entries                 *obs.Gauge
 }
 
-// The cache counters live in the process-wide obs registry ("progcache.*"),
-// so run manifests and the -debug-addr expvar endpoint see them without
-// this package knowing about either; Snapshot keeps serving the historical
-// struct view over the same metrics.
 var (
-	cache   sync.Map // source string -> *entry
-	enabled atomic.Bool
+	// pinned counts for Default, which never evicts.
+	pinned = counters{
+		hits:    obs.GetCounter("progcache.hits"),
+		misses:  obs.GetCounter("progcache.misses"),
+		entries: obs.GetGauge("progcache.entries"),
+	}
+	// bounded counts for every cache built by New, summed over all of
+	// them: a process normally runs one server.
+	bounded = counters{
+		hits:      obs.GetCounter("progcache.untrusted.hits"),
+		misses:    obs.GetCounter("progcache.untrusted.misses"),
+		evictions: obs.GetCounter("progcache.untrusted.evictions"),
+		entries:   obs.GetGauge("progcache.untrusted.entries"),
+	}
 
-	hits         = obs.GetCounter("progcache.hits")
-	misses       = obs.GetCounter("progcache.misses")
-	entries      = obs.GetGauge("progcache.entries")
+	// The compile, flatten and thaw figures are shared by both policies.
 	compileTimer = obs.GetTimer("progcache.compile")
 	flatHits     = obs.GetCounter("progcache.flat.hits")
 	flatMisses   = obs.GetCounter("progcache.flat.misses")
@@ -62,55 +62,178 @@ var (
 	thawTimer    = obs.GetTimer("progcache.thaw")
 )
 
-func init() {
-	enabled.Store(true)
+// Cache maps source text to its compiled master module and flat view. The
+// key is the source alone: the module name only labels printed IR, so one
+// master serves callers that name their modules differently. It is safe
+// for concurrent use.
+type Cache struct {
+	bound int // 0: never evict
+	ctr   *counters
+
+	mu    sync.Mutex
+	index map[string]*list.Element // values are *entry
+	order list.List                // front = most recently used
 }
 
-// SetEnabled toggles the cache globally (tests use this to compare cached
-// against uncached runs). Disabling does not drop existing entries; use
-// Reset for that.
-func SetEnabled(on bool) { enabled.Store(on) }
+// entry is one cache slot. The sync.Onces serialize the first compile of a
+// source and the first flatten of its master (singleflight) without
+// holding the cache lock.
+type entry struct {
+	src  string
+	once sync.Once
+	mod  *ir.Module
+	err  error
 
-// Enabled reports whether the cache is active.
-func Enabled() bool { return enabled.Load() }
+	flatOnce sync.Once
+	flat     *ir.Flat
+}
 
-// Reset drops every cached module (and with it every cached flat view),
-// empties the untrusted tier and zeroes the counters.
+// Default is the pinned cache the harness compiles through.
+var Default = newCache(0, &pinned)
+
+// New returns a cache that keeps at most bound entries, evicting the least
+// recently used one past that (0 never evicts). Its counters are the
+// progcache.untrusted.* metrics.
+func New(bound int) *Cache { return newCache(bound, &bounded) }
+
+func newCache(bound int, ctr *counters) *Cache {
+	return &Cache{bound: bound, ctr: ctr, index: make(map[string]*list.Element)}
+}
+
+// lookup returns the slot for src with its master compiled. A failed
+// compile leaves the cache: every caller that shared it gets the error,
+// and the next lookup compiles again. Entries whose compile is still
+// running may briefly take the cache past its bound.
+func (c *Cache) lookup(src, name string) (*entry, error) {
+	c.mu.Lock()
+	el, hit := c.index[src]
+	if hit {
+		c.order.MoveToFront(el)
+	} else {
+		el = c.order.PushFront(&entry{src: src})
+		c.index[src] = el
+		c.ctr.entries.Add(1)
+	}
+	c.mu.Unlock()
+	e := el.Value.(*entry)
+	e.once.Do(func() {
+		c.ctr.misses.Inc()
+		start := time.Now()
+		e.mod, e.err = minic.CompileSource(src, name)
+		compileTimer.Observe(time.Since(start))
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if e.err != nil {
+			if c.index[src] == el { // not evicted or replaced meanwhile
+				c.removeLocked(el)
+			}
+			return
+		}
+		// Evict only for a compile that succeeded, so garbage sources
+		// cannot push good entries out.
+		for c.bound > 0 && c.order.Len() > c.bound {
+			c.removeLocked(c.order.Back())
+			c.ctr.evictions.Inc()
+		}
+	})
+	if e.err != nil {
+		return nil, e.err
+	}
+	if hit {
+		c.ctr.hits.Inc()
+	}
+	return e, nil
+}
+
+func (c *Cache) removeLocked(el *list.Element) {
+	c.order.Remove(el)
+	delete(c.index, el.Value.(*entry).src)
+	c.ctr.entries.Add(-1)
+}
+
+// Flat returns the cached struct-of-arrays view of src's master module,
+// flattening it on first use. Like the master itself the view is shared
+// and strictly read-only: any number of embed/featurize/scan/compile
+// consumers stream the same tables concurrently.
+func (c *Cache) Flat(src, name string) (*ir.Flat, error) {
+	e, err := c.lookup(src, name)
+	if err != nil {
+		return nil, err
+	}
+	built := false
+	e.flatOnce.Do(func() {
+		built = true
+		flatMisses.Inc()
+		start := time.Now()
+		e.flat = ir.Flatten(e.mod)
+		flattenTimer.Observe(time.Since(start))
+	})
+	if !built {
+		flatHits.Inc()
+	}
+	return e.flat, nil
+}
+
+// Thaw returns a freshly built module for src that the caller owns and may
+// mutate freely. It thaws the cached flat view (ir.Thaw), which allocates
+// the whole module out of a handful of arenas; the difftest thaw campaign
+// pins each thawed copy bit-for-bit against a deep clone of the master.
+func (c *Cache) Thaw(src, name string) (*ir.Module, error) {
+	fl, err := c.Flat(src, name)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	m := ir.Thaw(fl)
+	thawTimer.Observe(time.Since(start))
+	thawHits.Inc()
+	m.Name = name
+	return m, nil
+}
+
+// CompileShared returns Default's master module for src. The caller MUST
+// NOT mutate it (no passes, no obfuscations) — it is shared by every other
+// caller and backs the cached flat view. Use it for read-only consumers:
+// embeddings, n-gram scans, compile checks.
+func CompileShared(src, name string) (*ir.Module, error) {
+	e, err := Default.lookup(src, name)
+	if err != nil {
+		return nil, err
+	}
+	return e.mod, nil
+}
+
+// CompileFlat is Default.Flat.
+func CompileFlat(src, name string) (*ir.Flat, error) { return Default.Flat(src, name) }
+
+// CompileThaw is Default.Thaw.
+func CompileThaw(src, name string) (*ir.Module, error) { return Default.Thaw(src, name) }
+
+// Reset drops every entry of Default (and with it every cached flat view),
+// so a long campaign's memory stays flat. The counters keep running: every
+// reader takes deltas.
 func Reset() {
-	cache.Range(func(k, _ any) bool { cache.Delete(k); return true })
-	entries.Set(0)
-	ResetUntrusted()
-	ResetStats()
-}
-
-// ResetStats zeroes the hit/miss/timing counters without dropping entries.
-func ResetStats() {
-	hits.Reset()
-	misses.Reset()
-	compileTimer.Reset()
-	flatHits.Reset()
-	flatMisses.Reset()
-	flattenTimer.Reset()
-	thawHits.Reset()
-	thawTimer.Reset()
+	Default.mu.Lock()
+	defer Default.mu.Unlock()
+	for el := Default.order.Front(); el != nil; el = Default.order.Front() {
+		Default.removeLocked(el)
+	}
 }
 
 // Stats is a snapshot of the cache counters.
 type Stats struct {
+	// Hits, Misses and Entries are Default's.
 	Hits, Misses, Entries int64
-	// FlatHits/FlatMisses count CompileFlat calls served from an existing
-	// flat view vs. ones that built it.
+	// FlatHits/FlatMisses count Flat calls served from an existing flat
+	// view vs. ones that built it.
 	FlatHits, FlatMisses int64
 	// ThawHits counts mutable copies rebuilt from a cached flat view.
 	ThawHits int64
-	// The Untrusted* fields mirror the bounded LRU tier that serves
-	// wire-originated compiles (see untrusted.go).
+	// The Untrusted* fields sum the caches built by New (one per server).
 	UntrustedHits, UntrustedMisses     int64
 	UntrustedEntries, UntrustedEvicted int64
-	// CompileTime is the total front-end time spent on cache misses;
-	// FlattenTime is the total time spent building struct-of-arrays views
-	// on flat misses; ThawTime is the total time spent rebuilding mutable
-	// modules from cached flat views.
+	// Total time spent compiling on misses, flattening on flat misses and
+	// thawing mutable copies.
 	CompileTime time.Duration
 	FlattenTime time.Duration
 	ThawTime    time.Duration
@@ -118,122 +241,19 @@ type Stats struct {
 
 // Snapshot returns the current counters.
 func Snapshot() Stats {
-	n := int64(0)
-	cache.Range(func(_, _ any) bool { n++; return true })
 	return Stats{
-		Hits:             hits.Value(),
-		Misses:           misses.Value(),
-		Entries:          n,
+		Hits:             pinned.hits.Value(),
+		Misses:           pinned.misses.Value(),
+		Entries:          pinned.entries.Value(),
 		FlatHits:         flatHits.Value(),
 		FlatMisses:       flatMisses.Value(),
 		ThawHits:         thawHits.Value(),
-		UntrustedHits:    utHits.Value(),
-		UntrustedMisses:  utMisses.Value(),
-		UntrustedEntries: utEntries.Value(),
-		UntrustedEvicted: utEvictions.Value(),
+		UntrustedHits:    bounded.hits.Value(),
+		UntrustedMisses:  bounded.misses.Value(),
+		UntrustedEntries: bounded.entries.Value(),
+		UntrustedEvicted: bounded.evictions.Value(),
 		CompileTime:      compileTimer.Total(),
 		FlattenTime:      flattenTimer.Total(),
 		ThawTime:         thawTimer.Total(),
 	}
-}
-
-// lookupEntry returns the cache slot for src with its master compiled. The
-// cache is keyed by the source text alone — the module name only labels
-// printed IR, so one master serves callers that name their modules
-// differently.
-func lookupEntry(src, name string) (*entry, error) {
-	e, loaded := cache.Load(src)
-	if !loaded {
-		e, loaded = cache.LoadOrStore(src, &entry{})
-		if !loaded {
-			entries.Add(1)
-		}
-	}
-	ent := e.(*entry)
-	ent.once.Do(func() {
-		misses.Inc()
-		start := time.Now()
-		ent.mod, ent.err = minic.CompileSource(src, name)
-		compileTimer.Observe(time.Since(start))
-		ent.ready.Store(true)
-	})
-	if loaded && ent.err == nil {
-		hits.Inc()
-	}
-	return ent, ent.err
-}
-
-// CompileShared returns the cached master module for src. The caller MUST
-// NOT mutate it (no passes, no obfuscations) — it is shared by every other
-// CompileShared caller and backs the cached flat view. Use it for
-// read-only consumers: embeddings, n-gram scans, compile checks.
-func CompileShared(src, name string) (*ir.Module, error) {
-	if !enabled.Load() {
-		return minic.CompileSource(src, name)
-	}
-	ent, err := lookupEntry(src, name)
-	if err != nil {
-		return nil, err
-	}
-	return ent.mod, nil
-}
-
-// CompileFlat returns the cached struct-of-arrays view of src's master
-// module, flattening it on first use. Like the master itself the view is
-// shared and strictly read-only: any number of embed/featurize/scan/compile consumers stream the same
-// tables concurrently. With the cache disabled the module and its view are
-// built fresh on every call.
-func CompileFlat(src, name string) (*ir.Flat, error) {
-	if !enabled.Load() {
-		m, err := minic.CompileSource(src, name)
-		if err != nil {
-			return nil, err
-		}
-		flatMisses.Inc()
-		start := time.Now()
-		fl := ir.Flatten(m)
-		flattenTimer.Observe(time.Since(start))
-		return fl, nil
-	}
-	ent, err := lookupEntry(src, name)
-	if err != nil {
-		return nil, err
-	}
-	return entFlat(ent), nil
-}
-
-// entFlat returns the entry's flat view, flattening the master at most once
-// (singleflight via flatOnce). The entry's compile must have succeeded.
-func entFlat(ent *entry) *ir.Flat {
-	built := false
-	ent.flatOnce.Do(func() {
-		built = true
-		flatMisses.Inc()
-		start := time.Now()
-		ent.flat = ir.Flatten(ent.mod)
-		flattenTimer.Observe(time.Since(start))
-	})
-	if !built {
-		flatHits.Inc()
-	}
-	return ent.flat
-}
-
-// CompileThaw returns a freshly built module for src that the caller owns
-// and may mutate freely. It thaws the cached flat view (ir.Thaw), which
-// allocates the whole module out of a handful of arenas; the underlying
-// compile happens at most once per distinct source for the life of the
-// process. Transform pipelines, fuzz campaigns and the coevo generation
-// loop draw their mutable copies here; the difftest thaw campaign pins each
-// thawed copy bit-for-bit against a deep clone of the master. With the
-// cache disabled it returns a fresh front-end compile.
-func CompileThaw(src, name string) (*ir.Module, error) {
-	if !enabled.Load() {
-		return minic.CompileSource(src, name)
-	}
-	ent, err := lookupEntry(src, name)
-	if err != nil {
-		return nil, err
-	}
-	return thawModule(entFlat(ent), name), nil
 }

@@ -92,8 +92,8 @@ type pg struct {
 
 	// Scopes. Only function-top-level declarations enter these pools, so
 	// everything in them stays visible for the rest of the body.
-	ints   []string // readable+writable int lvalues (vars, fields)
-	ro     []string // read-only ints (loop induction variables): writing one
+	ints []string // readable+writable int lvalues (vars, fields)
+	ro   []string // read-only ints (loop induction variables): writing one
 	// from a random statement would break the in-bounds-index and
 	// termination guarantees, so they never become assignment targets
 	floats []string

@@ -19,6 +19,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ml"
 	"repro/internal/obs"
+	"repro/internal/progcache"
 )
 
 // Config sizes a Server. Zero values take the defaults below.
@@ -108,6 +109,10 @@ type Server struct {
 	barrier *DrainBarrier
 	mux     *http.ServeMux
 	httpSrv *http.Server
+	// cache holds the compiles of client-supplied sources. It is bounded
+	// and private to this server: arbitrary traffic must not grow the
+	// pinned progcache.Default without limit.
+	cache *progcache.Cache
 
 	// mu guards the model table: names (sorted), batchers and versions all
 	// change together when a snapshot push hot-swaps or adds a model.
@@ -163,6 +168,7 @@ func New(cfg Config) (*Server, error) {
 		admit:    make(chan struct{}, cfg.MaxInFlight),
 		barrier:  NewDrainBarrier(),
 		mux:      http.NewServeMux(),
+		cache:    progcache.New(progcache.DefaultUntrustedCap),
 		requests: obs.GetCounter("serve.requests"),
 		rejected: obs.GetCounter("serve.rejected"),
 		errors:   obs.GetCounter("serve.errors"),
@@ -284,10 +290,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) error {
 	case req.Source != "" && req.Histogram != nil:
 		return fmt.Errorf("request carries both source and histogram; send one")
 	case req.Source != "":
-		// Client-supplied sources go through the bounded untrusted cache
-		// tier: arbitrary traffic must not grow the pinned process-wide
-		// progcache without limit.
-		v, err := core.EmbedSourceUntrusted(req.Source, s.cfg.Embedding)
+		v, err := core.EmbedSource(s.cache, req.Source, s.cfg.Embedding)
 		if err != nil {
 			return err
 		}
@@ -319,9 +322,9 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) error {
 		err    error
 	)
 	if req.Execute {
-		irText, vec, exec, err = core.TransformEmbedRunUntrusted(req.Source, req.Evader, s.cfg.Embedding, req.Seed, s.cfg.Engine)
+		irText, vec, exec, err = core.TransformEmbedRun(s.cache, req.Source, req.Evader, s.cfg.Embedding, req.Seed, s.cfg.Engine)
 	} else {
-		irText, vec, err = core.TransformEmbedUntrusted(req.Source, req.Evader, s.cfg.Embedding, req.Seed)
+		irText, vec, err = core.TransformEmbed(s.cache, req.Source, req.Evader, s.cfg.Embedding, req.Seed)
 	}
 	if err != nil {
 		return err

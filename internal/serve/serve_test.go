@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ml"
+	"repro/internal/progcache"
 	"repro/internal/serve"
 )
 
@@ -480,10 +481,11 @@ func TestConcurrentClassifyRace(t *testing.T) {
 }
 
 // TestMetriczSurfacesFlatCacheCounters drives two source-bearing classify
-// requests for the same program (first compiles it into the bounded
-// untrusted tier, second reuses it) and checks /metricz reports the
-// untrusted-tier counters and flatten timer — wire-originated compiles go
-// through the LRU tier, not the pinned cache. A transform request with a
+// requests for the same program (first compiles it into the server's
+// bounded cache, second reuses it) and checks /metricz reports the
+// progcache.untrusted.* counters and flatten timer — wire-originated
+// compiles go through the server's own cache, not the pinned
+// progcache.Default. A transform request with a
 // mutating evader rides along so the thaw counters (a private module copy
 // drawn off the cached flat view) are pinned on the wire too.
 func TestMetriczSurfacesFlatCacheCounters(t *testing.T) {
@@ -527,6 +529,45 @@ func TestMetriczSurfacesFlatCacheCounters(t *testing.T) {
 	}
 	if _, ok := snap.Timers["progcache.thaw"]; !ok {
 		t.Fatalf("metricz missing progcache.thaw timer: %v", snap.Timers)
+	}
+}
+
+// TestClassifyCacheIsBounded: a server that has seen DefaultUntrustedCap+k
+// distinct sources on /v1/classify has evicted exactly k compiles.
+func TestClassifyCacheIsBounded(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{
+		Models: map[string]ml.Model{"stub": &stubModel{}},
+	})
+	counters := func() map[string]int64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metricz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var snap struct {
+			Counters map[string]int64 `json:"counters"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap.Counters
+	}
+	const k = 3
+	before := counters()
+	for i := 0; i < progcache.DefaultUntrustedCap+k; i++ {
+		src := fmt.Sprintf("int main() { int x; x = %d; return x; }", 1000000+i)
+		if resp, body := postJSON(t, ts.URL+"/v1/classify", serve.ClassifyRequest{Source: src}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("classify %d got %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	after := counters()
+	const ev, miss = "progcache.untrusted.evictions", "progcache.untrusted.misses"
+	if got := after[ev] - before[ev]; got != k {
+		t.Fatalf("%s delta = %d, want %d", ev, got, k)
+	}
+	if got := after[miss] - before[miss]; got != progcache.DefaultUntrustedCap+k {
+		t.Fatalf("%s delta = %d, want %d", miss, got, progcache.DefaultUntrustedCap+k)
 	}
 }
 
