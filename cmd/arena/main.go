@@ -34,7 +34,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"text/tabwriter"
 	"time"
 
@@ -194,32 +193,12 @@ func (c *commonFlags) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runCells runs fn(0..n-1) on a pool of workers and returns the first error
-// in cell order (so error reporting does not depend on scheduling). Worker
-// sizing goes through core.ClampWorkers like every other parallel site: a
-// zero-cell run spawns nothing and returns immediately.
+// runCells runs fn(0..n-1) on up to workers goroutines (core.ForEach) and
+// returns the first error in cell order, so error reporting does not depend
+// on scheduling.
 func runCells(n, workers int, fn func(i int) error) error {
-	workers = core.ClampWorkers(workers, n)
-	if workers == 0 {
-		return nil
-	}
 	errs := make([]error, n)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	core.ForEach(workers, n, func(i int) { errs[i] = fn(i) })
 	for _, err := range errs {
 		if err != nil {
 			return err

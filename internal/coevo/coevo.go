@@ -35,7 +35,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -290,25 +289,15 @@ func (a *arena) featurize(samples []dataset.Sample) ([][]float64, []int, error) 
 	X := make([][]float64, len(samples))
 	y := make([]int, len(samples))
 	errs := make([]error, len(samples))
-	workers := core.ClampWorkers(a.cfg.Workers, len(samples))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := range samples {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			v, err := core.EmbedSource(progcache.Default, samples[i].Source, a.cfg.Embedding)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			X[i] = v
-			y[i] = samples[i].Class
-		}(i)
-	}
-	wg.Wait()
+	core.ForEach(a.cfg.Workers, len(samples), func(i int) {
+		v, err := core.EmbedSource(progcache.Default, samples[i].Source, a.cfg.Embedding)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		X[i] = v
+		y[i] = samples[i].Class
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, nil, err
@@ -369,59 +358,49 @@ func (a *arena) generation(gen int, master *rand.Rand) (*GenerationResult, error
 	// start; the retrain below happens strictly after every Evolve returns.
 	model := a.model
 	outcomes := make([]*popOutcome, len(a.attackers))
-	workers := core.ClampWorkers(a.cfg.Workers, len(a.attackers))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := range a.attackers {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			at := a.attackers[i]
-			orig, class := at.origVec, at.trueClass
-			at.pop.SetObjective(func(fl *ir.Flat) (float64, bool) {
-				v := a.emb.VecFlat(fl)
-				s := embed.Distance(orig, v)
-				if model.Predict(v) != class {
-					s += evadedBonus
-				}
-				return s, true
-			})
-			at.pop.Evolve(rand.New(rand.NewSource(seeds[i])))
-			out := &popOutcome{}
-			for mi := range at.pop.Members {
-				// Evolve leaves every member carrying the flat view from its
-				// last scoring, so the verdict pass below costs no compiles.
-				fl := at.pop.Members[mi].Flat
-				if fl == nil {
-					var err error
-					fl, err = srcobf.FlatView(at.pop.Members[mi].File)
-					if err != nil {
-						// srcobf's replay keeps only steps whose result
-						// compiles, so members always compile; a failure here
-						// is a bug, not a data condition — surface as a miss.
-						out.vecs = append(out.vecs, nil)
-						out.evaded = append(out.evaded, false)
-						continue
-					}
-				}
-				v := a.emb.VecFlat(fl)
-				out.vecs = append(out.vecs, v)
-				out.evaded = append(out.evaded, model.Predict(v) != class)
+	core.ForEach(a.cfg.Workers, len(a.attackers), func(i int) {
+		at := a.attackers[i]
+		orig, class := at.origVec, at.trueClass
+		at.pop.SetObjective(func(fl *ir.Flat) (float64, bool) {
+			v := a.emb.VecFlat(fl)
+			s := embed.Distance(orig, v)
+			if model.Predict(v) != class {
+				s += evadedBonus
 			}
-			for x := 0; x < len(out.vecs); x++ {
-				for y := x + 1; y < len(out.vecs); y++ {
-					if out.vecs[x] != nil && out.vecs[y] != nil {
-						out.divSum += embed.Distance(out.vecs[x], out.vecs[y])
-						out.divCnt++
-					}
+			return s, true
+		})
+		at.pop.Evolve(rand.New(rand.NewSource(seeds[i])))
+		out := &popOutcome{}
+		for mi := range at.pop.Members {
+			// Evolve leaves every member carrying the flat view from its
+			// last scoring, so the verdict pass below costs no compiles.
+			fl := at.pop.Members[mi].Flat
+			if fl == nil {
+				var err error
+				fl, err = srcobf.FlatView(at.pop.Members[mi].File)
+				if err != nil {
+					// srcobf's replay keeps only steps whose result
+					// compiles, so members always compile; a failure here
+					// is a bug, not a data condition — surface as a miss.
+					out.vecs = append(out.vecs, nil)
+					out.evaded = append(out.evaded, false)
+					continue
 				}
 			}
-			outcomes[i] = out
-		}(i)
-	}
-	wg.Wait()
+			v := a.emb.VecFlat(fl)
+			out.vecs = append(out.vecs, v)
+			out.evaded = append(out.evaded, model.Predict(v) != class)
+		}
+		for x := 0; x < len(out.vecs); x++ {
+			for y := x + 1; y < len(out.vecs); y++ {
+				if out.vecs[x] != nil && out.vecs[y] != nil {
+					out.divSum += embed.Distance(out.vecs[x], out.vecs[y])
+					out.divCnt++
+				}
+			}
+		}
+		outcomes[i] = out
+	})
 
 	// Merge in population order: verdicts, diversity, and the evasion pool.
 	gr := &GenerationResult{Gen: gen}

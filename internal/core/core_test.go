@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -181,6 +182,16 @@ func TestSpeedupShapes(t *testing.T) {
 	rep, err := core.Speedup(4)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The engines' conformance contract at suite level: the bytecode VM
+	// reproduces the tree interpreter's table bit-for-bit, O3 and ollvm
+	// rows included.
+	vmRep, err := core.SpeedupEngine(4, "vm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(vmRep, rep) {
+		t.Fatalf("vm suite differs from tree suite:\nvm   %+v\ntree %+v", vmRep.Rows, rep.Rows)
 	}
 	if len(rep.Rows) != 16 {
 		t.Fatalf("%d rows, want 16", len(rep.Rows))

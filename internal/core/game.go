@@ -146,6 +146,8 @@ func RunGame(set *dataset.Set, cfg GameConfig) (*GameResult, error) {
 		truth[i] = f.label
 	}
 
+	// Both branches predict in parallel: trained models are read-only at
+	// prediction time.
 	if emb.Kind == embed.GraphKind {
 		model := ml.NewDGCNN(rand.New(rand.NewSource(rng.Int63())))
 		gs := make([]*embed.Graph, len(trainFeats))
@@ -160,7 +162,7 @@ func RunGame(set *dataset.Set, cfg GameConfig) (*GameResult, error) {
 		}
 		fitDone()
 		predictDone := phasePredict.Start()
-		predictAll(len(testFeats), func(i int) {
+		ForEach(0, len(testFeats), func(i int) {
 			pred[i] = model.PredictGraph(testFeats[i].graph)
 		})
 		predictDone()
@@ -182,7 +184,7 @@ func RunGame(set *dataset.Set, cfg GameConfig) (*GameResult, error) {
 		}
 		fitDone()
 		predictDone := phasePredict.Start()
-		predictAll(len(testFeats), func(i int) {
+		ForEach(0, len(testFeats), func(i int) {
 			pred[i] = model.Predict(testFeats[i].vec)
 		})
 		predictDone()
@@ -202,9 +204,9 @@ func RunGame(set *dataset.Set, cfg GameConfig) (*GameResult, error) {
 // ClampWorkers bounds a requested worker count to the n units of work
 // available: non-positive requests mean GOMAXPROCS, and the result is
 // always in [1, n] — except n <= 0, which returns 0 (no work, spawn
-// nothing). Every parallel site in the harness (featurize, predictAll,
-// RunRoundsN, the arena's experiment cells) sizes its pool through this
-// one function so the edge cases stay uniform.
+// nothing). Every parallel site in the harness sizes its pool through this
+// one function, most of them by way of ForEach, so the edge cases stay
+// uniform.
 func ClampWorkers(workers, n int) int {
 	if n <= 0 {
 		return 0
@@ -218,11 +220,14 @@ func ClampWorkers(workers, n int) int {
 	return workers
 }
 
-// predictAll evaluates fn(i) for every test index across all CPUs. Trained
-// models are read-only at prediction time and each call writes only its own
-// pred slot, so the output is identical to the serial loop.
-func predictAll(n int, fn func(i int)) {
-	workers := ClampWorkers(0, n)
+// ForEach calls fn(i) for every i in [0, n) on ClampWorkers(workers, n)
+// goroutines, each claiming the next unclaimed index, so callers that want
+// the longest jobs started first put them at the lowest indices. With at
+// most one worker it runs inline on the caller. fn must write its result
+// only to slot i; the output then cannot depend on the worker count or the
+// completion order.
+func ForEach(workers, n int, fn func(i int)) {
+	workers = ClampWorkers(workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -235,11 +240,7 @@ func predictAll(n int, fn func(i int)) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 				fn(i)
 			}
 		}()
@@ -257,23 +258,9 @@ func featurize(samples []dataset.Sample, transform string, normalize bool,
 		seeds[i] = rng.Int63()
 	}
 	out := make([]featurized, len(samples))
-	workers := ClampWorkers(0, len(samples))
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out[i] = featurizeOne(samples[i], transform, normalize, norm, emb, seeds[i])
-			}
-		}()
-	}
-	for i := range samples {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	ForEach(0, len(samples), func(i int) {
+		out[i] = featurizeOne(samples[i], transform, normalize, norm, emb, seeds[i])
+	})
 	for i := range out {
 		if out[i].err != nil {
 			return nil, fmt.Errorf("core: sample %d: %w", i, out[i].err)
@@ -338,32 +325,18 @@ func RunRoundsN(set *dataset.Set, cfg GameConfig, rounds int, workers int) ([]Ga
 	if rounds < 1 {
 		return nil, stats.Summary{}, fmt.Errorf("core: rounds must be >= 1, got %d", rounds)
 	}
-	workers = ClampWorkers(workers, rounds)
 	results := make([]GameResult, rounds)
 	errs := make([]error, rounds)
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := range jobs {
-				c := cfg
-				c.Seed = cfg.Seed + int64(r)*7919
-				res, err := RunGame(set, c)
-				if err != nil {
-					errs[r] = err
-					continue
-				}
-				results[r] = *res
-			}
-		}()
-	}
-	for r := 0; r < rounds; r++ {
-		jobs <- r
-	}
-	close(jobs)
-	wg.Wait()
+	ForEach(workers, rounds, func(r int) {
+		c := cfg
+		c.Seed = cfg.Seed + int64(r)*7919
+		res, err := RunGame(set, c)
+		if err != nil {
+			errs[r] = err
+			return
+		}
+		results[r] = *res
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, stats.Summary{}, err

@@ -38,11 +38,14 @@ func TestClampWorkers(t *testing.T) {
 	}
 }
 
-// predictAll over an empty batch must not spawn workers or call the model.
-func TestPredictAllEmpty(t *testing.T) {
-	predictAll(0, func(i int) {
-		t.Fatalf("predict called for empty batch (i=%d)", i)
-	})
+// ForEach over no work must not spawn workers or call fn, whatever the
+// requested worker count.
+func TestForEachEmpty(t *testing.T) {
+	for _, workers := range []int{0, 1, 4} {
+		ForEach(workers, 0, func(i int) {
+			t.Fatalf("fn called for empty range (workers=%d, i=%d)", workers, i)
+		})
+	}
 }
 
 // RunRoundsN must reject rounds < 1 up front instead of indexing into an
