@@ -141,9 +141,9 @@ func printObsFooter(wall time.Duration, d obs.Snapshot) {
 }
 
 // cmdReport loads two run manifests and prints their accuracy/timing diff:
-// the regression check that closes the loop on `make perf` / `make bench`
-// numbers. With -tol >= 0 it fails when any cell's mean accuracy moved
-// more than the tolerance.
+// the regression check between two runs of the same experiment. With
+// -tol >= 0 it fails when any cell's mean accuracy moved more than the
+// tolerance.
 func cmdReport(args []string) error {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
 	tol := fs.Float64("tol", -1,

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -58,6 +57,16 @@ type TransformStats struct {
 	VerifyFail     int64
 	Errors         int64
 	Nanos          int64
+}
+
+func (s *TransformStats) add(o TransformStats) {
+	s.Equal += o.Equal
+	s.TrapSkipped += o.TrapSkipped
+	s.Mismatch += o.Mismatch
+	s.EngineDiverged += o.EngineDiverged
+	s.VerifyFail += o.VerifyFail
+	s.Errors += o.Errors
+	s.Nanos += o.Nanos
 }
 
 // Failures returns the count of semantics-breaking verdicts.
@@ -140,81 +149,78 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	trapskips := obs.GetCounter("fuzz.trapskips")
 	verifyfails := obs.GetCounter("fuzz.verifyfail")
 
-	var mu sync.Mutex
-	workers := core.ClampWorkers(cfg.Workers, cfg.N)
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				progSeed := cfg.Seed + int64(i)
-				src := progen.GenerateCfg(rand.New(rand.NewSource(progSeed)), gen)
-				programs.Inc()
-				oracle, err := Oracle(src)
-				if err != nil {
-					// A generator bug, not a transform bug: surface it as a
-					// campaign-level failure with no transform attached.
-					mu.Lock()
-					res.OracleErrs++
-					res.Failures = append(res.Failures, Failure{
-						Seed: progSeed, Transform: "oracle", Verdict: TransformError,
-						Detail: err.Error(), Repro: src,
-					})
-					mu.Unlock()
-					continue
-				}
-				for _, tr := range trs {
-					start := time.Now()
-					rng := rand.New(rand.NewSource(cellSeed(progSeed, tr.Name)))
-					v, detail := CheckOneEngine(src, tr, rng, oracle, eng)
-					elapsed := time.Since(start)
-					obs.GetTimer("fuzz.transform." + tr.Name).Observe(elapsed)
-					mu.Lock()
-					st := res.Stats[tr.Name]
-					st.Nanos += elapsed.Nanoseconds()
-					switch v {
-					case Equal:
-						st.Equal++
-					case TrapSkipped:
-						st.TrapSkipped++
-						trapskips.Inc()
-					case Mismatch:
-						st.Mismatch++
-						mismatches.Inc()
-					case EngineDiverged:
-						st.EngineDiverged++
-						mismatches.Inc()
-					case VerifyFail:
-						st.VerifyFail++
-						verifyfails.Inc()
-					default:
-						st.Errors++
-						mismatches.Inc()
-					}
-					if v.Failure() {
-						repro := src
-						if cfg.Shrink {
-							mu.Unlock()
-							repro = ShrinkFailureEngine(src, tr, progSeed, eng)
-							mu.Lock()
-						}
-						res.Failures = append(res.Failures, Failure{
-							Seed: progSeed, Transform: tr.Name, Verdict: v,
-							Detail: detail, Repro: repro,
-						})
-					}
-					mu.Unlock()
-				}
+	// Each program fills its own slot; the slots fold in index order below.
+	type slot struct {
+		stats    []TransformStats // by index into trs
+		failures []Failure
+		oracle   bool // the oracle itself failed
+	}
+	slots := make([]slot, cfg.N)
+	core.ForEach(cfg.Workers, cfg.N, func(i int) {
+		sl := &slots[i]
+		progSeed := cfg.Seed + int64(i)
+		src := progen.GenerateCfg(rand.New(rand.NewSource(progSeed)), gen)
+		programs.Inc()
+		oracle, err := Oracle(src)
+		if err != nil {
+			// A generator bug, not a transform bug: surface it as a
+			// campaign-level failure with no transform attached.
+			sl.oracle = true
+			sl.failures = append(sl.failures, Failure{
+				Seed: progSeed, Transform: "oracle", Verdict: TransformError,
+				Detail: err.Error(), Repro: src,
+			})
+			return
+		}
+		sl.stats = make([]TransformStats, len(trs))
+		for j, tr := range trs {
+			start := time.Now()
+			rng := rand.New(rand.NewSource(cellSeed(progSeed, tr.Name)))
+			v, detail := CheckOneEngine(src, tr, rng, oracle, eng)
+			elapsed := time.Since(start)
+			obs.GetTimer("fuzz.transform." + tr.Name).Observe(elapsed)
+			st := &sl.stats[j]
+			st.Nanos += elapsed.Nanoseconds()
+			switch v {
+			case Equal:
+				st.Equal++
+			case TrapSkipped:
+				st.TrapSkipped++
+				trapskips.Inc()
+			case Mismatch:
+				st.Mismatch++
+				mismatches.Inc()
+			case EngineDiverged:
+				st.EngineDiverged++
+				mismatches.Inc()
+			case VerifyFail:
+				st.VerifyFail++
+				verifyfails.Inc()
+			default:
+				st.Errors++
+				mismatches.Inc()
 			}
-		}()
+			if v.Failure() {
+				repro := src
+				if cfg.Shrink {
+					repro = ShrinkFailureEngine(src, tr, progSeed, eng)
+				}
+				sl.failures = append(sl.failures, Failure{
+					Seed: progSeed, Transform: tr.Name, Verdict: v,
+					Detail: detail, Repro: repro,
+				})
+			}
+		}
+	})
+	for _, sl := range slots {
+		if sl.oracle {
+			res.OracleErrs++
+		}
+		for j, st := range sl.stats {
+			res.Stats[trs[j].Name].add(st)
+		}
+		res.Failures = append(res.Failures, sl.failures...)
 	}
-	for i := 0; i < cfg.N; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 
 	// Failure order must not depend on worker scheduling.
 	sort.Slice(res.Failures, func(i, j int) bool {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/ir"
@@ -118,69 +117,59 @@ func RunThawEquivalence(cfg ThawEquivConfig) (*ThawEquivResult, error) {
 	failures := obs.GetCounter("thawfuzz.failures")
 
 	res := &ThawEquivResult{Programs: cfg.N, Transforms: len(trs)}
-	var mu sync.Mutex
-	workers := core.ClampWorkers(cfg.Workers, cfg.N)
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				progSeed := cfg.Seed + int64(i)
-				src := progen.GenerateCfg(rand.New(rand.NewSource(progSeed)), gen)
-				programs.Inc()
-				master, err := minic.CompileSource(src, "prog")
-				if err != nil {
-					mu.Lock()
-					res.OracleErrs++
-					res.Failures = append(res.Failures, Failure{
-						Seed: progSeed, Transform: "compile", Verdict: TransformError,
-						Detail: err.Error(), Repro: src,
-					})
-					mu.Unlock()
-					continue
-				}
-				before := master.String()
-				fl := ir.Flatten(master)
-				var fails []Failure
-				for _, tr := range trs {
-					cells.Inc()
-					if detail := thawCheck(master, fl, tr, cellSeed(progSeed, tr.Name)); detail != "" {
-						fails = append(fails, Failure{
-							Seed: progSeed, Transform: tr.Name, Verdict: Mismatch,
-							Detail: detail, Repro: src,
-						})
-					}
-				}
-				// The master fed every cell; none may have touched it — not
-				// through the clone, not through shared thaw immutables.
-				if after := master.String(); after != before {
-					fails = append(fails, Failure{
-						Seed: progSeed, Transform: "master-immutability", Verdict: Mismatch,
-						Detail: fmt.Sprintf("master mutated by transform cells:\n--- before ---\n%s\n--- after ---\n%s", before, after),
-						Repro:  src,
-					})
-				} else if d := ir.FlatDiff(fl, ir.Flatten(master)); d != "" {
-					fails = append(fails, Failure{
-						Seed: progSeed, Transform: "master-immutability", Verdict: Mismatch,
-						Detail: "master no longer re-flattens to its original tables: " + d,
-						Repro:  src,
-					})
-				}
-				if len(fails) > 0 {
-					mu.Lock()
-					res.Failures = append(res.Failures, fails...)
-					mu.Unlock()
-				}
+	// Each program fills its own slot; the slots fold in index order below.
+	type slot struct {
+		failures []Failure
+		compile  bool // the program itself failed to compile
+	}
+	slots := make([]slot, cfg.N)
+	core.ForEach(cfg.Workers, cfg.N, func(i int) {
+		sl := &slots[i]
+		progSeed := cfg.Seed + int64(i)
+		src := progen.GenerateCfg(rand.New(rand.NewSource(progSeed)), gen)
+		programs.Inc()
+		master, err := minic.CompileSource(src, "prog")
+		if err != nil {
+			sl.compile = true
+			sl.failures = append(sl.failures, Failure{
+				Seed: progSeed, Transform: "compile", Verdict: TransformError,
+				Detail: err.Error(), Repro: src,
+			})
+			return
+		}
+		before := master.String()
+		fl := ir.Flatten(master)
+		for _, tr := range trs {
+			cells.Inc()
+			if detail := thawCheck(master, fl, tr, cellSeed(progSeed, tr.Name)); detail != "" {
+				sl.failures = append(sl.failures, Failure{
+					Seed: progSeed, Transform: tr.Name, Verdict: Mismatch,
+					Detail: detail, Repro: src,
+				})
 			}
-		}()
+		}
+		// The master fed every cell; none may have touched it — not
+		// through the clone, not through shared thaw immutables.
+		if after := master.String(); after != before {
+			sl.failures = append(sl.failures, Failure{
+				Seed: progSeed, Transform: "master-immutability", Verdict: Mismatch,
+				Detail: fmt.Sprintf("master mutated by transform cells:\n--- before ---\n%s\n--- after ---\n%s", before, after),
+				Repro:  src,
+			})
+		} else if d := ir.FlatDiff(fl, ir.Flatten(master)); d != "" {
+			sl.failures = append(sl.failures, Failure{
+				Seed: progSeed, Transform: "master-immutability", Verdict: Mismatch,
+				Detail: "master no longer re-flattens to its original tables: " + d,
+				Repro:  src,
+			})
+		}
+	})
+	for _, sl := range slots {
+		if sl.compile {
+			res.OracleErrs++
+		}
+		res.Failures = append(res.Failures, sl.failures...)
 	}
-	for i := 0; i < cfg.N; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 	res.Cells = int64(res.Programs) * int64(res.Transforms)
 
 	// Failure order must not depend on worker scheduling.

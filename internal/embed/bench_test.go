@@ -59,24 +59,6 @@ func BenchmarkGraphBuilders(b *testing.B) {
 	}
 }
 
-// BenchmarkGraphBuildersPointer is the pointer-walking path alone, the
-// baseline the flat entry points are measured against in BENCH_ir.json.
-func BenchmarkGraphBuildersPointer(b *testing.B) {
-	m := benchModule(b)
-	for _, name := range graphBuilderNames {
-		emb, err := embed.Get(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				emb.Graph(m)
-			}
-		})
-	}
-}
-
 // BenchmarkHistogram covers the hot vector embedding used by most arena
 // pipelines, on its production (flat) path.
 func BenchmarkHistogram(b *testing.B) {
@@ -87,22 +69,11 @@ func BenchmarkHistogram(b *testing.B) {
 	}
 }
 
-// BenchmarkHistogramPointer is the pointer-IR baseline for BenchmarkHistogram.
-func BenchmarkHistogramPointer(b *testing.B) {
-	m := benchModule(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		embed.Histogram(m)
-	}
-}
-
 // BenchmarkVectorBuilders measures the remaining vector embeddings through
 // embed.Get(name).VecFlat, the entry point featurize calls (neither has a
-// native flat builder, so VecFlat thaws and runs the pointer builder), next
-// to the pointer builders alone.
+// native flat builder, so VecFlat thaws and runs the pointer builder).
 func BenchmarkVectorBuilders(b *testing.B) {
-	m := benchModule(b)
-	fl := ir.Flatten(m)
+	fl := ir.Flatten(benchModule(b))
 	for _, name := range []string{"milepost", "ir2vec"} {
 		emb, err := embed.Get(name)
 		if err != nil {
@@ -112,12 +83,6 @@ func BenchmarkVectorBuilders(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				emb.VecFlat(fl)
-			}
-		})
-		b.Run(name+"_pointer", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				emb.Vec(m)
 			}
 		})
 	}

@@ -8,11 +8,11 @@ import (
 	"repro/internal/progcache"
 )
 
-// The flat-IR benchmarks behind `make bench-ir`: what a flat-view miss pays
-// (Flatten), what the old read-only path paid per consumer (Clone), and what
-// a progcache flat hit costs once the view is built (share, no copy). The
-// same mid-sized program as the embed builder benches keeps the numbers
-// comparable across BENCH_ir.json and BENCH_ml.json.
+// The flat-IR benchmarks: what a flat-view miss pays (Flatten), what the old
+// read-only path paid per consumer (Clone), and what a progcache flat hit
+// costs once the view is built (share, no copy). They use the same mid-sized
+// program as the embed builder benches, so the numbers compare directly.
+// Run them with `go test -run '^$' -bench . -benchmem ./internal/ir/`.
 const benchSrc = `
 int fib(int n) {
 	if (n < 2) return n;

@@ -39,19 +39,24 @@ type Diff struct {
 	Identical bool
 }
 
+// cellKey identifies a cell across manifests: one name may carry several
+// metrics (`fuzz -thaw` records cells and failures under "fuzz/thaw").
+type cellKey struct{ name, metric string }
+
 // DiffManifests compares b against a (a is the baseline). Cells are
-// matched by name, in a's order.
+// matched by name and metric, in a's order.
 func DiffManifests(a, b *Manifest) *Diff {
 	d := &Diff{A: a, B: b, Identical: true}
-	bCells := make(map[string]*Cell, len(b.Cells))
+	bCells := make(map[cellKey]*Cell, len(b.Cells))
 	for i := range b.Cells {
-		bCells[b.Cells[i].Name] = &b.Cells[i]
+		bCells[cellKey{b.Cells[i].Name, b.Cells[i].Metric}] = &b.Cells[i]
 	}
-	seen := make(map[string]bool, len(a.Cells))
+	seen := make(map[cellKey]bool, len(a.Cells))
 	for i := range a.Cells {
 		ca := &a.Cells[i]
-		seen[ca.Name] = true
-		cb, ok := bCells[ca.Name]
+		k := cellKey{ca.Name, ca.Metric}
+		seen[k] = true
+		cb, ok := bCells[k]
 		if !ok {
 			d.OnlyA = append(d.OnlyA, ca.Name)
 			if !ca.Volatile {
@@ -81,7 +86,7 @@ func DiffManifests(a, b *Manifest) *Diff {
 		d.Cells = append(d.Cells, cd)
 	}
 	for i := range b.Cells {
-		if !seen[b.Cells[i].Name] {
+		if !seen[cellKey{b.Cells[i].Name, b.Cells[i].Metric}] {
 			d.OnlyB = append(d.OnlyB, b.Cells[i].Name)
 			if !b.Cells[i].Volatile {
 				d.Identical = false

@@ -44,6 +44,19 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDiffMatchesCellsByMetric: one cell name may carry several metrics
+// (`arena fuzz -thaw` records "fuzz/thaw" cells and failures); a manifest
+// diffed against itself must pair each with its own metric.
+func TestDiffMatchesCellsByMetric(t *testing.T) {
+	m := NewManifest("fuzz", nil, 1)
+	m.AddCell("fuzz/thaw", "cells", []float64{3800})
+	m.AddCell("fuzz/thaw", "failures", []float64{0})
+	d := DiffManifests(m, m)
+	if !d.Identical || d.MaxAbsDelta != 0 || len(d.Cells) != 2 {
+		t.Fatalf("self-diff of a two-metric cell: %+v", d)
+	}
+}
+
 func TestDiffDetectsRegression(t *testing.T) {
 	a := testManifest()
 	b := testManifest()

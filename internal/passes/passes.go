@@ -12,13 +12,6 @@ import (
 	"repro/internal/ir"
 )
 
-// FuncPass is a transformation over one function. Run reports whether it
-// changed anything.
-type FuncPass struct {
-	Name string
-	Run  func(*ir.Function) bool
-}
-
 // Level selects an optimization pipeline.
 type Level int
 
@@ -47,16 +40,48 @@ func ParseLevel(s string) (Level, error) {
 
 func (l Level) String() string { return [...]string{"O0", "O1", "O2", "O3"}[l] }
 
-// scalarPasses is the per-function cleanup sequence shared by O1..O3.
-func scalarPasses() []FuncPass {
-	return []FuncPass{
-		{"mem2reg", Mem2Reg},
-		{"instcombine", InstCombine},
-		{"simplifycfg", SimplifyCFG},
-		{"sccp", SCCP},
-		{"dce", DCE},
-		{"simplifycfg", SimplifyCFG},
+// funcPasses is every per-function pass by name: the one mapping both the
+// pipelines below and RunPass read. Each reports whether it changed anything.
+var funcPasses = map[string]func(*ir.Function) bool{
+	"mem2reg":     Mem2Reg,
+	"instcombine": InstCombine,
+	"simplifycfg": SimplifyCFG,
+	"sccp":        SCCP,
+	"dce":         DCE,
+	"gvn":         GVN,
+	"licm":        LICM,
+	"unroll":      UnrollLoops,
+}
+
+// pass is one entry of a pipeline stage.
+type pass struct {
+	name string
+	run  func(*ir.Function) bool
+}
+
+// stage resolves pass names against funcPasses, once, at package init.
+func stage(names ...string) []pass {
+	s := make([]pass, len(names))
+	for i, n := range names {
+		fn, ok := funcPasses[n]
+		if !ok {
+			panic("passes: pipeline names unknown pass " + n)
+		}
+		s[i] = pass{n, fn}
 	}
+	return s
+}
+
+// scalarStage is the per-function cleanup sequence shared by O1..O3.
+var scalarStage = stage("mem2reg", "instcombine", "simplifycfg", "sccp", "dce", "simplifycfg")
+
+// pipelines lists each level's stages in order. A stage runs its passes over
+// every function before the next stage starts; O3 inlines before its first.
+var pipelines = map[Level][][]pass{
+	O1: {scalarStage},
+	O2: {scalarStage, stage("gvn", "instcombine", "dce", "simplifycfg")},
+	O3: {scalarStage, stage("gvn", "licm", "instcombine", "unroll", "gvn", "sccp",
+		"dce", "simplifycfg", "instcombine", "dce", "simplifycfg")},
 }
 
 // Optimize runs the pipeline for the given level over the module, mutating
@@ -64,35 +89,14 @@ func scalarPasses() []FuncPass {
 // re-verified and any violation is reported as an error (it would be a bug
 // in a pass).
 func Optimize(m *ir.Module, level Level) error {
-	switch level {
-	case O0:
+	if level == O0 {
 		return nil
-	case O1:
-		runFuncPasses(m, scalarPasses())
-	case O2:
-		runFuncPasses(m, scalarPasses())
-		runFuncPasses(m, []FuncPass{
-			{"gvn", GVN},
-			{"instcombine", InstCombine},
-			{"dce", DCE},
-			{"simplifycfg", SimplifyCFG},
-		})
-	case O3:
+	}
+	if level == O3 {
 		Inline(m, 60)
-		runFuncPasses(m, scalarPasses())
-		runFuncPasses(m, []FuncPass{
-			{"gvn", GVN},
-			{"licm", LICM},
-			{"instcombine", InstCombine},
-			{"unroll", UnrollLoops},
-			{"gvn", GVN},
-			{"sccp", SCCP},
-			{"dce", DCE},
-			{"simplifycfg", SimplifyCFG},
-			{"instcombine", InstCombine},
-			{"dce", DCE},
-			{"simplifycfg", SimplifyCFG},
-		})
+	}
+	for _, s := range pipelines[level] {
+		runStage(m, s)
 	}
 	if err := m.Verify(); err != nil {
 		return fmt.Errorf("passes: %s pipeline produced invalid IR: %w", level, err)
@@ -100,53 +104,26 @@ func Optimize(m *ir.Module, level Level) error {
 	return nil
 }
 
-// Debug, when set, re-verifies the function after every individual pass and
-// panics with the offending pass's name on the first violation. It turns a
-// late "pipeline produced invalid IR" error into a precise culprit; tests
-// for new passes should flip it on.
-var Debug = false
-
-func runFuncPasses(m *ir.Module, pipeline []FuncPass) {
+func runStage(m *ir.Module, s []pass) {
 	for _, f := range m.Functions {
 		if f.IsDecl() {
 			continue
 		}
-		for _, p := range pipeline {
-			p.Run(f)
-			if Debug {
-				if err := f.Verify(); err != nil {
-					panic(fmt.Sprintf("passes: %s broke @%s: %v\n%s", p.Name, f.Name, err, f.String()))
-				}
-			}
+		for _, p := range s {
+			p.run(f)
 		}
 	}
 }
 
 // RunPass runs a single named pass over every function (used by tests and
 // the CLI's -passes flag). Known names: mem2reg, instcombine, simplifycfg,
-// sccp, dce, gvn, licm.
+// sccp, dce, gvn, licm, unroll and inline.
 func RunPass(m *ir.Module, name string) (bool, error) {
-	var fn func(*ir.Function) bool
-	switch name {
-	case "mem2reg":
-		fn = Mem2Reg
-	case "instcombine":
-		fn = InstCombine
-	case "simplifycfg":
-		fn = SimplifyCFG
-	case "sccp":
-		fn = SCCP
-	case "dce":
-		fn = DCE
-	case "gvn":
-		fn = GVN
-	case "licm":
-		fn = LICM
-	case "unroll":
-		fn = UnrollLoops
-	case "inline":
+	if name == "inline" {
 		return Inline(m, 60), nil
-	default:
+	}
+	fn, ok := funcPasses[name]
+	if !ok {
 		return false, fmt.Errorf("unknown pass %q", name)
 	}
 	changed := false

@@ -691,15 +691,27 @@ func randomProgram(rng *rand.Rand) string {
 	return sb.String()
 }
 
-// TestDebugModePinpointsPassBreakage runs the full pipeline with per-pass
-// verification enabled over a battery of programs; any pass that emits
-// invalid IR panics with its own name.
+// TestDebugModePinpointsPassBreakage walks the O3 pipeline pass by pass over
+// a battery of programs, verifying every function after every pass, so a
+// pass that emits invalid IR fails with its own name.
 func TestDebugModePinpointsPassBreakage(t *testing.T) {
-	passes.Debug = true
-	defer func() { passes.Debug = false }()
 	for _, tc := range semanticPrograms {
 		m := compile(t, tc.src)
-		if err := passes.Optimize(m, passes.O3); err != nil {
+		passes.Inline(m, 60)
+		for _, stage := range passes.O3Stages() {
+			for _, f := range m.Functions {
+				if f.IsDecl() {
+					continue
+				}
+				for _, p := range stage {
+					p.Run(f)
+					if err := f.Verify(); err != nil {
+						t.Fatalf("%s: %s broke @%s: %v\n%s", tc.name, p.Name, f.Name, err, f.String())
+					}
+				}
+			}
+		}
+		if err := m.Verify(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 	}

@@ -2,9 +2,9 @@ package srcobf_test
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/embed"
 	"repro/internal/interp"
 	"repro/internal/minic"
@@ -256,8 +256,9 @@ func TestTransformFileDeterministic(t *testing.T) {
 
 // TestPopulationDeterministicAcrossWorkers: evolving a batch of populations
 // concurrently must give byte-identical winners at any worker count, as long
-// as per-population seeds are pre-derived sequentially from the master RNG —
-// the same discipline the arena's generation loop uses.
+// as per-population seeds are pre-derived sequentially from the master RNG and
+// the populations fan out through core.ForEach — the same discipline the
+// arena's generation loop uses.
 func TestPopulationDeterministicAcrossWorkers(t *testing.T) {
 	f, err := minic.Parse(programs[3].src)
 	if err != nil {
@@ -272,27 +273,18 @@ func TestPopulationDeterministicAcrossWorkers(t *testing.T) {
 				seeds[i] = master.Int63()
 			}
 			outs := make([]string, nPops)
-			sem := make(chan struct{}, workers)
-			var wg sync.WaitGroup
-			for i := 0; i < nPops; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					sem <- struct{}{}
-					defer func() { <-sem }()
-					rng := rand.New(rand.NewSource(seeds[i]))
-					p, err := srcobf.NewPopulation(f, strat, 3, nil, rng)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					for g := 0; g < 2; g++ {
-						p.Evolve(rng)
-					}
-					outs[i] = minic.Print(p.Best().File)
-				}(i)
-			}
-			wg.Wait()
+			core.ForEach(workers, nPops, func(i int) {
+				rng := rand.New(rand.NewSource(seeds[i]))
+				p, err := srcobf.NewPopulation(f, strat, 3, nil, rng)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for g := 0; g < 2; g++ {
+					p.Evolve(rng)
+				}
+				outs[i] = minic.Print(p.Best().File)
+			})
 			return outs
 		}
 		base := runAt(1)
