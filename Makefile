@@ -22,14 +22,13 @@
 #                SIGTERM drain — run on every PR
 #   make fuzz-smoke  short deterministic differential-fuzz campaign: 200
 #                generated programs through every pass, pipeline and
-#                obfuscator against the O0 interpreter oracle — run on
-#                every PR
+#                obfuscator against the O0 interpreter oracle, every
+#                transformed cell executed on the bytecode VM and
+#                cross-checked bit-for-bit against the tree interpreter —
+#                run on every PR
 #   make fuzz    long local campaign over the full transform set (composed
 #                evader pipelines included); shrunk failing programs land
 #                in testdata/crashers/
-#   make fuzz-smoke-vm  the fuzz-smoke campaign cross-validated on the
-#                bytecode VM (-engine vm): every cell must match the tree
-#                interpreter bit-for-bit
 #   make thaw-smoke  clone-vs-thaw equivalence campaign: 200 generated
 #                programs, every module-level transform applied to a deep
 #                clone and to a thawed flat-view copy with the same seed;
@@ -46,11 +45,11 @@
 #                perfbench/README.md
 #   make check   everything CI runs: build + test + race + cross +
 #                serve-smoke + gateway-smoke + coevo-smoke + fuzz-smoke +
-#                fuzz-smoke-vm + thaw-smoke + perfbench-check
+#                thaw-smoke + perfbench-check
 
 GO ?= go
 
-.PHONY: build test race bench-figures perfbench-check cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke fuzz-smoke-vm thaw-smoke fuzz check
+.PHONY: build test race bench-figures perfbench-check cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke thaw-smoke fuzz check
 
 build:
 	$(GO) build ./...
@@ -155,15 +154,12 @@ coevo-smoke:
 	kill -TERM "$$gpid" && wait "$$gpid" && echo "coevo-smoke: clean drain"
 
 # Deterministic for the fixed seed: same verdict counts on every run and
-# worker count. Fails (exit 1) on any semantic mismatch or verifier break.
+# worker count. Every transformed cell runs on the bytecode VM and must match
+# the tree interpreter bit-for-bit (return, output, trap kind, step count).
+# Fails (exit 1) on any semantic mismatch, engine divergence or verifier
+# break.
 fuzz-smoke:
 	$(GO) run ./cmd/arena fuzz -n 200 -seed 1 -set smoke -small
-
-# The same campaign cross-validated against the bytecode VM: every
-# transformed cell additionally runs on -engine vm and must match the tree
-# interpreter bit-for-bit (return, output, trap kind, step count).
-fuzz-smoke-vm:
-	$(GO) run ./cmd/arena fuzz -n 200 -seed 1 -set smoke -small -engine vm
 
 # The thaw proof obligation at PR scale: 200 generated programs, every
 # module-level transform applied to a deep clone and to a thawed flat-view
@@ -183,4 +179,4 @@ fuzz:
 perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
-check: build test race cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke fuzz-smoke-vm thaw-smoke perfbench-check
+check: build test race cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke thaw-smoke perfbench-check

@@ -231,7 +231,7 @@ func itoa(n int) string {
 // Figure 13, geomeans 2.32x faster / 8.33x slower).
 func BenchmarkFig13Speedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := core.Speedup(int64(i + 1))
+		rep, err := core.SpeedupEngine(int64(i+1), "vm")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,9 +11,10 @@ import (
 )
 
 // cmdFuzz runs a differential-fuzzing campaign: seeded generated programs
-// through every registered transform, checked against the O0 interpreter
-// oracle. Exits nonzero when any cell breaks semantics, writing shrunk
-// repros to -crashers.
+// through every registered transform, checked against the O0 oracle on the
+// tree interpreter, with every transformed module also run on the bytecode
+// VM and cross-checked against the tree. Exits nonzero when any cell breaks
+// semantics, writing shrunk repros to -crashers.
 func cmdFuzz(args []string) error {
 	fs := flag.NewFlagSet("fuzz", flag.ExitOnError)
 	n := fs.Int("n", 200, "programs per campaign batch")
@@ -28,8 +29,6 @@ func cmdFuzz(args []string) error {
 	crashers := fs.String("crashers", "testdata/crashers",
 		"directory for shrunk failing programs (empty = don't write)")
 	noShrink := fs.Bool("no-shrink", false, "report failures unshrunk (faster triage turnaround)")
-	engine := fs.String("engine", "tree",
-		"execution engine for the transformed side (tree = reference interpreter, vm = compiled bytecode; vm is also cross-checked bit-for-bit against tree)")
 	thaw := fs.Bool("thaw", false,
 		"run the clone-vs-thaw equivalence campaign instead: each module-level transform is applied to a deep clone and to a thawed flat-view copy with the same seed, and the two must match bit-for-bit")
 	verbose := fs.Bool("v", false, "per-transform table + obs footer")
@@ -47,21 +46,21 @@ func cmdFuzz(args []string) error {
 
 	cfg := difftest.CampaignConfig{
 		N: *n, Seed: *seed, Workers: *workers, Set: *set,
-		CrashersDir: *crashers, Shrink: !*noShrink, Engine: *engine,
+		CrashersDir: *crashers, Shrink: !*noShrink,
 	}
 	if *small {
 		cfg.Gen = difftest.SmokeGen()
 	}
 
 	deadline := time.Now().Add(*dur)
-	total := &difftest.CampaignResult{Stats: map[string]*difftest.TransformStats{}}
+	total := &difftest.CampaignResult{}
 	batches := 0
 	for {
 		res, err := difftest.RunCampaign(cfg)
 		if err != nil {
 			return err
 		}
-		merge(total, res)
+		total.Merge(res)
 		batches++
 		// One batch when -dur is zero; otherwise advance the seed space and
 		// go again until the deadline. Reset the compile cache between
@@ -75,12 +74,11 @@ func cmdFuzz(args []string) error {
 
 	for _, name := range total.TransformNames() {
 		st := total.Stats[name]
-		cells := float64(st.Equal + st.TrapSkipped + st.Mismatch + st.VerifyFail + st.Errors)
 		rec.man.AddCell("fuzz/"+name, "failures",
 			[]float64{float64(st.Failures())})
 		if *verbose {
-			fmt.Printf("%-14s %6.0f cells  equal=%d trap-skipped=%d failures=%d  %v\n",
-				name, cells, st.Equal, st.TrapSkipped, st.Failures(),
+			fmt.Printf("%-14s %6d cells  equal=%d trap-skipped=%d failures=%d  %v\n",
+				name, st.Cells(), st.Equal, st.TrapSkipped, st.Failures(),
 				time.Duration(st.Nanos).Round(time.Millisecond))
 		}
 	}
@@ -131,25 +129,4 @@ func fuzzThaw(rec *runRecorder, n int, seed int64, workers int, set string, smal
 		return fmt.Errorf("%d clone-vs-thaw divergences", len(res.Failures))
 	}
 	return nil
-}
-
-// merge folds one batch's campaign result into the running total.
-func merge(total, batch *difftest.CampaignResult) {
-	total.Programs += batch.Programs
-	total.OracleErrs += batch.OracleErrs
-	total.Failures = append(total.Failures, batch.Failures...)
-	for name, st := range batch.Stats {
-		t := total.Stats[name]
-		if t == nil {
-			t = &difftest.TransformStats{}
-			total.Stats[name] = t
-		}
-		t.Equal += st.Equal
-		t.TrapSkipped += st.TrapSkipped
-		t.Mismatch += st.Mismatch
-		t.EngineDiverged += st.EngineDiverged
-		t.VerifyFail += st.VerifyFail
-		t.Errors += st.Errors
-		t.Nanos += st.Nanos
-	}
 }

@@ -558,7 +558,7 @@ func cmdDistance(args []string) error {
 	if err != nil {
 		return err
 	}
-	set, err := dataset.Generate(c.classes, minInt(c.perClass, 10), c.seed)
+	set, err := dataset.Generate(c.classes, min(c.perClass, 10), c.seed)
 	if err != nil {
 		return err
 	}
@@ -580,8 +580,6 @@ func cmdDistance(args []string) error {
 func cmdSpeedup(args []string) error {
 	fs := flag.NewFlagSet("speedup", flag.ExitOnError)
 	seed := fs.Int64("seed", 1, "random seed for the obfuscator")
-	engine := fs.String("engine", "tree",
-		"execution engine measuring the step counts (tree = reference interpreter, vm = compiled bytecode)")
 	o := addObs(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -590,7 +588,7 @@ func cmdSpeedup(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep, err := core.SpeedupEngine(*seed, *engine)
+	rep, err := core.SpeedupEngine(*seed, "vm")
 	if err != nil {
 		return err
 	}
@@ -701,11 +699,4 @@ func fmtBytes(n int64) string {
 	default:
 		return fmt.Sprintf("%d B", n)
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

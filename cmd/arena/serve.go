@@ -43,8 +43,6 @@ func cmdServe(args []string) error {
 	maxBatch := fs.Int("max-batch", 32, "max classify requests coalesced into one batched predict pass")
 	window := fs.Duration("batch-window", 2*time.Millisecond, "how long a batch waits to fill after its first request")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request deadline (504 past it)")
-	engine := fs.String("engine", "tree",
-		"execution engine for transform requests with execute=true (tree = reference interpreter, vm = compiled bytecode)")
 	verbose := fs.Bool("v", false, "print the obs footer after shutdown")
 	o := addObs(fs)
 	if err := fs.Parse(args); err != nil {
@@ -71,7 +69,6 @@ func cmdServe(args []string) error {
 		MaxBatch:       *maxBatch,
 		BatchWindow:    *window,
 		RequestTimeout: *timeout,
-		Engine:         *engine,
 	})
 	if err != nil {
 		return err

@@ -100,14 +100,9 @@ type ExecObs struct {
 const ExecMaxSteps = 16 << 20
 
 // TransformEmbedRun is TransformEmbed plus execution of the transformed
-// module on the named engine ("" = tree interpreter, "vm" = compiled
-// bytecode). Traps are reported in the observation, not as an error: a
+// module on eng. Traps are reported in the observation, not as an error: a
 // trapping evaded program is still a servable result.
-func TransformEmbedRun(cache *progcache.Cache, src, evader, embedding string, seed int64, engine string) (string, embed.Vector, *ExecObs, error) {
-	eng, err := interp.EngineByName(engine)
-	if err != nil {
-		return "", nil, nil, err
-	}
+func TransformEmbedRun(cache *progcache.Cache, src, evader, embedding string, seed int64, eng interp.Engine) (string, embed.Vector, *ExecObs, error) {
 	m, v, err := transformEmbedModule(cache, src, evader, embedding, seed)
 	if err != nil {
 		return "", nil, nil, err

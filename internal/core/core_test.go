@@ -124,11 +124,11 @@ func TestGraphGameWithDGCNN(t *testing.T) {
 
 func TestRunRoundsSummary(t *testing.T) {
 	set := smallSet(t, 5, 10, 7)
-	results, sum, err := core.RunRounds(set, core.GameConfig{
+	results, sum, err := core.RunRoundsN(set, core.GameConfig{
 		Game:     0,
 		Pipeline: core.Pipeline{Embedding: "histogram", Model: "knn"},
 		Seed:     9,
-	}, 3)
+	}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestDistanceAnalysisOrdering(t *testing.T) {
 }
 
 func TestSpeedupShapes(t *testing.T) {
-	rep, err := core.Speedup(4)
+	rep, err := core.SpeedupEngine(4, "tree")
 	if err != nil {
 		t.Fatal(err)
 	}

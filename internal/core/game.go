@@ -309,15 +309,9 @@ func featurizeOne(s dataset.Sample, transform string, normalize bool,
 	return f
 }
 
-// RunRounds repeats the game the given number of rounds (the paper uses
+// RunRoundsN repeats the game the given number of rounds (the paper uses
 // ten), varying the seed, and returns the per-round results plus accuracy
-// summary. Rounds run in parallel across all available CPUs; see RunRoundsN
-// to pick the worker count.
-func RunRounds(set *dataset.Set, cfg GameConfig, rounds int) ([]GameResult, stats.Summary, error) {
-	return RunRoundsN(set, cfg, rounds, 0)
-}
-
-// RunRoundsN is RunRounds with an explicit worker count (0 or negative
+// summary. Rounds run in parallel on workers goroutines (0 or negative
 // means GOMAXPROCS). Each round derives its seed from the round index —
 // cfg.Seed + r*7919, byte-identical to the historical serial derivation —
 // so the results do not depend on the worker count or completion order.

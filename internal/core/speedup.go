@@ -10,12 +10,20 @@ import (
 	"repro/internal/passes"
 	"repro/internal/progcache"
 	"repro/internal/stats"
-
-	// Register the compiled bytecode engine: everything that executes
-	// programs (difftest, serve, cmd/arena) imports core, so the "vm"
-	// -engine value is always resolvable.
-	_ "repro/internal/vm"
+	"repro/internal/vm"
 )
+
+// EngineByName resolves an execution engine name: "tree" is the reference
+// interpreter, "vm" the compiled bytecode engine.
+func EngineByName(name string) (interp.Engine, error) {
+	switch name {
+	case "tree":
+		return interp.Tree, nil
+	case "vm":
+		return vm.Engine{}, nil
+	}
+	return nil, fmt.Errorf("core: unknown engine %q (have tree, vm)", name)
+}
 
 // SpeedupRow is one kernel of the Figure-13 performance experiment:
 // dynamic instruction counts relative to clang -O0.
@@ -38,24 +46,18 @@ type SpeedupReport struct {
 	GeoOllvmSlowdown float64
 }
 
-// Speedup runs the RQ6 experiment: each Benchmark-Game kernel is executed
-// at O0, at O3 and under the combined O-LLVM obfuscation, with dynamic
-// instruction count standing in for wall-clock time.
-func Speedup(seed int64) (*SpeedupReport, error) {
-	return SpeedupEngine(seed, "")
-}
-
-// SpeedupEngine is Speedup on a selectable execution engine ("" or "tree"
-// = the tree interpreter, "vm" = compiled bytecode). Step counts are
-// engine-independent by the engines' conformance contract, so the report
-// is identical either way — the engine only changes how long it takes to
-// produce.
+// SpeedupEngine runs the RQ6 experiment on the named engine (see
+// EngineByName): each Benchmark-Game kernel is executed at O0, at O3 and
+// under the combined O-LLVM obfuscation, with dynamic instruction count
+// standing in for wall-clock time. Step counts are engine-independent by
+// the engines' conformance contract, so the report is identical on either
+// engine — the engine only changes how long it takes to produce.
 //
 // The 48 (kernel, configuration) runs are independent, so they run across
 // all CPUs. The report, and the error if any run fails, are the same as a
 // serial loop over kernels and then O0, O3, ollvm would produce.
 func SpeedupEngine(seed int64, engine string) (*SpeedupReport, error) {
-	eng, err := interp.EngineByName(engine)
+	eng, err := EngineByName(engine)
 	if err != nil {
 		return nil, err
 	}

@@ -62,3 +62,27 @@ func TestSpeedupGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineByName pins the two engine names and the error for anything
+// else, the empty string included: it must name both valid engines.
+func TestEngineByName(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string // want is the resolved engine's Name, "" for an error
+	}{
+		{"tree", "tree"},
+		{"vm", "vm"},
+		{"", ""},
+		{"warp-drive", ""},
+	} {
+		eng, err := core.EngineByName(tc.name)
+		if tc.want != "" {
+			if err != nil || eng.Name() != tc.want {
+				t.Errorf("EngineByName(%q) = %v, %v; want engine %s", tc.name, eng, err, tc.want)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "tree") || !strings.Contains(err.Error(), "vm") {
+			t.Errorf("EngineByName(%q) error = %v; want one naming tree and vm", tc.name, err)
+		}
+	}
+}

@@ -143,18 +143,6 @@ func (g *gen) fillArray(name string, n int, seed int64) string {
 				sv, sv, name, iv, sv)))
 }
 
-// fillFloatArray is the floating-point analogue of fillArray.
-func (g *gen) fillFloatArray(name string, n int, seed int64) string {
-	iv := g.v("idx")
-	sv := g.v("tmp")
-	return fmt.Sprintf(
-		"float %s[%d];\nint %s = %d;\n%s",
-		name, n, sv, seed,
-		g.loop(iv, fmt.Sprintf("%d", n),
-			fmt.Sprintf("%s = (%s * 1103515245 + 12345) %% 2147483648;\n%s[%s] = (%s %% 997) / 31.0;",
-				sv, sv, name, iv, sv)))
-}
-
 // fillString emits a char array of length n+1 holding a deterministic
 // lowercase string plus NUL.
 func (g *gen) fillString(name string, n int, seed int64) string {

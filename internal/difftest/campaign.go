@@ -15,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/progcache"
 	"repro/internal/progen"
+	"repro/internal/vm"
 )
 
 // SmokeGen is the lighter program shape used by `make fuzz-smoke`: shallower
@@ -40,12 +41,6 @@ type CampaignConfig struct {
 	Shrink bool
 	// Gen overrides the program shape; zero value means progen defaults.
 	Gen progen.Config
-	// Engine selects the execution engine for transformed runs ("" or
-	// "tree" = interpreter only). Any other engine is cross-validated
-	// against the tree interpreter on every cell: the two must agree
-	// bit-for-bit (Ret, Output, Steps, trap kind) or the cell fails with
-	// EngineDiverged.
-	Engine string
 }
 
 // TransformStats aggregates the verdicts of one transform over a campaign.
@@ -74,6 +69,11 @@ func (s *TransformStats) Failures() int64 {
 	return s.Mismatch + s.EngineDiverged + s.VerifyFail + s.Errors
 }
 
+// Cells returns the number of cells checked, whatever their verdict.
+func (s *TransformStats) Cells() int64 {
+	return s.Equal + s.TrapSkipped + s.Failures()
+}
+
 // Failure is one semantics-breaking cell, with its (possibly shrunk) repro.
 type Failure struct {
 	Seed      int64
@@ -89,6 +89,24 @@ type CampaignResult struct {
 	OracleErrs int64 // programs the oracle itself failed to compile/verify
 	Stats      map[string]*TransformStats
 	Failures   []Failure
+}
+
+// Merge folds another campaign's result (a later batch) into r.
+func (r *CampaignResult) Merge(o *CampaignResult) {
+	r.Programs += o.Programs
+	r.OracleErrs += o.OracleErrs
+	r.Failures = append(r.Failures, o.Failures...)
+	if r.Stats == nil {
+		r.Stats = make(map[string]*TransformStats, len(o.Stats))
+	}
+	for name, st := range o.Stats {
+		t := r.Stats[name]
+		if t == nil {
+			t = &TransformStats{}
+			r.Stats[name] = t
+		}
+		t.add(*st)
+	}
 }
 
 // TotalFailures sums semantics-breaking cells across all transforms.
@@ -121,18 +139,14 @@ func cellSeed(progSeed int64, transform string) int64 {
 
 // RunCampaign generates cfg.N programs and pushes each through every
 // transform in cfg.Set, aggregating verdicts per transform and shrinking
-// failures when asked. The run is deterministic for a fixed (Seed, N, Set)
-// regardless of Workers.
+// failures when asked. Every transformed module runs on the bytecode VM and
+// is cross-checked bit-for-bit against the tree interpreter (see CheckOne).
+// The run is deterministic for a fixed (Seed, N, Set) regardless of
+// Workers.
 func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	trs, err := Transforms(cfg.Set)
 	if err != nil {
 		return nil, err
-	}
-	var eng interp.Engine
-	if cfg.Engine != "" && cfg.Engine != "tree" {
-		if eng, err = interp.EngineByName(cfg.Engine); err != nil {
-			return nil, err
-		}
 	}
 	gen := cfg.Gen
 	if gen == (progen.Config{}) {
@@ -176,7 +190,7 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		for j, tr := range trs {
 			start := time.Now()
 			rng := rand.New(rand.NewSource(cellSeed(progSeed, tr.Name)))
-			v, detail := CheckOneEngine(src, tr, rng, oracle, eng)
+			v, detail := CheckOne(src, tr, rng, oracle, vm.Engine{})
 			elapsed := time.Since(start)
 			obs.GetTimer("fuzz.transform." + tr.Name).Observe(elapsed)
 			st := &sl.stats[j]
@@ -203,7 +217,7 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 			if v.Failure() {
 				repro := src
 				if cfg.Shrink {
-					repro = ShrinkFailureEngine(src, tr, progSeed, eng)
+					repro = ShrinkFailure(src, tr, progSeed, vm.Engine{})
 				}
 				sl.failures = append(sl.failures, Failure{
 					Seed: progSeed, Transform: tr.Name, Verdict: v,
@@ -241,24 +255,18 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	return res, nil
 }
 
-// ShrinkFailure minimizes src while the transform still fails on it. The
-// oracle is recomputed per candidate, so shrinking can never convert a
-// transform bug into a generator artifact.
-func ShrinkFailure(src string, tr Transform, progSeed int64) string {
-	return ShrinkFailureEngine(src, tr, progSeed, nil)
-}
-
-// ShrinkFailureEngine is ShrinkFailure under a specific execution engine,
-// so an EngineDiverged cell shrinks while the engines still disagree
-// rather than degenerating to any unrelated failure shape.
-func ShrinkFailureEngine(src string, tr Transform, progSeed int64, eng interp.Engine) string {
+// ShrinkFailure minimizes src while the transform still fails on it under
+// CheckOne with eng, so an EngineDiverged cell shrinks while the engines
+// still disagree. The oracle is recomputed per candidate, so shrinking can
+// never convert a transform bug into a generator artifact.
+func ShrinkFailure(src string, tr Transform, progSeed int64, eng interp.Engine) string {
 	return Shrink(src, func(cand string) bool {
 		oracle, err := Oracle(cand)
 		if err != nil {
 			return false
 		}
 		rng := rand.New(rand.NewSource(cellSeed(progSeed, tr.Name)))
-		v, _ := CheckOneEngine(cand, tr, rng, oracle, eng)
+		v, _ := CheckOne(cand, tr, rng, oracle, eng)
 		return v.Failure()
 	})
 }

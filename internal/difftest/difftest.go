@@ -87,24 +87,13 @@ func trapKind(err error) string {
 	}
 }
 
-// Observe runs m under the given step budget and captures its behaviour.
-// Interpreter errors become trap observations rather than Go errors: a trap
-// is a legitimate program behaviour under the equivalence policy.
-func Observe(m *ir.Module, maxSteps int64) Obs {
-	return ObserveEngine(m, maxSteps, nil)
-}
-
-// ObserveEngine is Observe on a specific execution engine (nil means the
-// tree interpreter). Every engine reports the same Obs for the same module
-// by contract; EngineCheck enforces it.
-func ObserveEngine(m *ir.Module, maxSteps int64, eng interp.Engine) Obs {
-	var res *interp.Result
-	var err error
-	if eng == nil {
-		res, err = interp.Run(m, interp.Options{MaxSteps: maxSteps})
-	} else {
-		res, err = eng.Run(m, interp.Options{MaxSteps: maxSteps})
-	}
+// Observe runs m on eng under the given step budget and captures its
+// behaviour. Interpreter errors become trap observations rather than Go
+// errors: a trap is a legitimate program behaviour under the equivalence
+// policy. Every engine reports the same Obs for the same module by
+// contract; EngineCheck enforces it.
+func Observe(m *ir.Module, maxSteps int64, eng interp.Engine) Obs {
+	res, err := eng.Run(m, interp.Options{MaxSteps: maxSteps})
 	if err != nil {
 		o := Obs{Trap: trapKind(err)}
 		if res != nil {
@@ -116,8 +105,8 @@ func ObserveEngine(m *ir.Module, maxSteps int64, eng interp.Engine) Obs {
 	return Obs{Ret: res.Ret, Out: res.Output, Steps: res.Steps}
 }
 
-// Oracle compiles src at O0 and records its behaviour, which every
-// transformed run is then compared against.
+// Oracle compiles src at O0 and records its behaviour on the tree
+// interpreter, which every transformed run is then compared against.
 func Oracle(src string) (Obs, error) {
 	m, err := minic.CompileSource(src, "oracle")
 	if err != nil {
@@ -126,7 +115,7 @@ func Oracle(src string) (Obs, error) {
 	if err := m.Verify(); err != nil {
 		return Obs{}, fmt.Errorf("oracle verify: %w", err)
 	}
-	return Observe(m, OracleMaxSteps), nil
+	return Observe(m, OracleMaxSteps, interp.Tree), nil
 }
 
 // Verdict classifies one (program, transform) cell.
@@ -320,31 +309,26 @@ func Transforms(set string) ([]Transform, error) {
 	return nil, fmt.Errorf("difftest: unknown transform set %q", set)
 }
 
-// CheckOne runs a single (program, transform) cell against a precomputed
-// oracle and returns the verdict plus a human-readable detail on failure.
-func CheckOne(src string, tr Transform, rng *rand.Rand, oracle Obs) (Verdict, string) {
-	return CheckOneEngine(src, tr, rng, oracle, nil)
-}
-
 // EngineCheck runs m on both the tree interpreter and eng and demands a
 // bit-identical observation: same return value, same output, same trap
 // kind, same step count. This is the engine-conformance half of the fuzz
 // campaign — unlike transform equivalence there is no relaxed trap clause,
 // because the two engines execute the very same module.
 func EngineCheck(m *ir.Module, maxSteps int64, eng interp.Engine) (Obs, Verdict, string) {
-	tree := Observe(m, maxSteps)
-	got := ObserveEngine(m, maxSteps, eng)
+	tree := Observe(m, maxSteps, interp.Tree)
+	got := Observe(m, maxSteps, eng)
 	if got != tree {
 		return tree, EngineDiverged, fmt.Sprintf("engine %s disagrees with tree: %s vs %s", eng.Name(), got, tree)
 	}
 	return tree, Equal, ""
 }
 
-// CheckOneEngine is CheckOne with engine cross-validation: when eng is
-// non-nil (and not the tree interpreter itself), the transformed module is
-// executed on both engines and any disagreement is reported as
-// EngineDiverged before the usual transform-equivalence comparison.
-func CheckOneEngine(src string, tr Transform, rng *rand.Rand, oracle Obs, eng interp.Engine) (Verdict, string) {
+// CheckOne runs a single (program, transform) cell against a precomputed
+// oracle and returns the verdict plus a human-readable detail on failure.
+// The transformed module executes on eng and on the tree interpreter; any
+// disagreement between the two is EngineDiverged, reported before the
+// transform-equivalence comparison.
+func CheckOne(src string, tr Transform, rng *rand.Rand, oracle Obs, eng interp.Engine) (Verdict, string) {
 	m, err := tr.Apply(src, rng)
 	if err != nil {
 		return TransformError, err.Error()
@@ -352,13 +336,9 @@ func CheckOneEngine(src string, tr Transform, rng *rand.Rand, oracle Obs, eng in
 	if err := m.Verify(); err != nil {
 		return VerifyFail, err.Error()
 	}
-	if eng != nil && eng.Name() != "tree" {
-		got, v, detail := EngineCheck(m, budgetFor(oracle.Steps), eng)
-		if v.Failure() {
-			return v, detail
-		}
-		return Equivalent(oracle, got)
+	got, v, detail := EngineCheck(m, budgetFor(oracle.Steps), eng)
+	if v.Failure() {
+		return v, detail
 	}
-	got := Observe(m, budgetFor(oracle.Steps))
 	return Equivalent(oracle, got)
 }

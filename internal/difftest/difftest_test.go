@@ -12,6 +12,7 @@ import (
 	"repro/internal/minic"
 	"repro/internal/obs"
 	"repro/internal/progen"
+	"repro/internal/vm"
 )
 
 // genSrc is the campaign's seed-to-program mapping, shared for readability.
@@ -114,12 +115,12 @@ func TestBrokenPassCaughtAndShrunk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
-		v, _ := CheckOne(src, tr, rand.New(rand.NewSource(seed)), oracle)
+		v, _ := CheckOne(src, tr, rand.New(rand.NewSource(seed)), oracle, vm.Engine{})
 		if !v.Failure() {
 			continue
 		}
 		caught = true
-		repro := ShrinkFailure(src, tr, seed)
+		repro := ShrinkFailure(src, tr, seed, vm.Engine{})
 		if lines := strings.Count(repro, "\n") + 1; lines >= 30 {
 			t.Errorf("shrunk repro still %d lines (want <30):\n%s", lines, repro)
 		}
@@ -128,7 +129,7 @@ func TestBrokenPassCaughtAndShrunk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shrunk repro stopped compiling: %v\n%s", err, repro)
 		}
-		v2, _ := CheckOne(repro, tr, rand.New(rand.NewSource(seed)), oracle2)
+		v2, _ := CheckOne(repro, tr, rand.New(rand.NewSource(seed)), oracle2, vm.Engine{})
 		if !v2.Failure() {
 			t.Fatalf("shrunk repro no longer fails:\n%s", repro)
 		}
@@ -161,7 +162,7 @@ func TestVerifyFailCaught(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, detail := CheckOne(src, tr, rand.New(rand.NewSource(1)), oracle)
+	v, detail := CheckOne(src, tr, rand.New(rand.NewSource(1)), oracle, vm.Engine{})
 	if v != VerifyFail {
 		t.Fatalf("verdict = %s (%s), want verify-fail", v, detail)
 	}
@@ -179,10 +180,10 @@ func TestCampaignWritesCrashers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v, detail := CheckOne(src, tr, rand.New(rand.NewSource(seed)), oracle); v.Failure() {
+		if v, detail := CheckOne(src, tr, rand.New(rand.NewSource(seed)), oracle, vm.Engine{}); v.Failure() {
 			failures = append(failures, Failure{
 				Seed: seed, Transform: tr.Name, Verdict: v, Detail: detail,
-				Repro: ShrinkFailure(src, tr, seed),
+				Repro: ShrinkFailure(src, tr, seed, vm.Engine{}),
 			})
 		}
 	}

@@ -4,9 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/minic"
 	"repro/internal/progen"
+	"repro/internal/vm"
 )
 
 // FuzzPasses drives every individual pass and the O1-O3 pipelines over
@@ -57,7 +59,7 @@ func FuzzPasses(f *testing.F) {
 			if err := m.Verify(); err != nil {
 				t.Fatalf("transform %s (%s copy): verify: %v\nsource:\n%s", tr.Name, copyPath, err, src)
 			}
-			got := Observe(m, budgetFor(oracle.Steps))
+			got := Observe(m, budgetFor(oracle.Steps), interp.Tree)
 			if v, detail := Equivalent(oracle, got); v.Failure() {
 				t.Fatalf("transform %s (%s copy): %s: %s\nsource:\n%s", tr.Name, copyPath, v, detail, src)
 			}
@@ -116,7 +118,7 @@ func FuzzObfus(f *testing.F) {
 		}
 		for _, tr := range ob {
 			rng := rand.New(rand.NewSource(cellSeed(seed, tr.Name)))
-			if v, detail := CheckOne(src, tr, rng, oracle); v.Failure() {
+			if v, detail := CheckOne(src, tr, rng, oracle, vm.Engine{}); v.Failure() {
 				t.Fatalf("transform %s: %s: %s\nsource:\n%s", tr.Name, v, detail, src)
 			}
 		}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/vm"
 )
 
 // TestEquivalentPolicyTable pins the documented trap-equivalence policy at
@@ -120,7 +122,7 @@ func TestTrapSemanticsUnderOptimization(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", tc.name, err)
 		}
-		v, detail := CheckOne(tc.src, trs[0], rand.New(rand.NewSource(1)), oracle)
+		v, detail := CheckOne(tc.src, trs[0], rand.New(rand.NewSource(1)), oracle, vm.Engine{})
 		ok := false
 		for _, a := range tc.accept {
 			if v == a {

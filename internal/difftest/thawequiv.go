@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/minic"
 	"repro/internal/obs"
@@ -82,8 +83,8 @@ func thawCheck(master *ir.Module, fl *ir.Flat, tr Transform, seed int64) string 
 	if sa != sb {
 		return fmt.Sprintf("transformed modules print differently:\n--- clone ---\n%s\n--- thaw ---\n%s", sa, sb)
 	}
-	oa := Observe(cl, OracleMaxSteps)
-	ob := Observe(th, OracleMaxSteps)
+	oa := Observe(cl, OracleMaxSteps, interp.Tree)
+	ob := Observe(th, OracleMaxSteps, interp.Tree)
 	if oa != ob {
 		return fmt.Sprintf("transformed modules behave differently: clone %s vs thaw %s", oa, ob)
 	}

@@ -8,28 +8,13 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/minic"
-
-	_ "repro/internal/vm" // registers the "vm" engine
+	"repro/internal/vm"
 )
 
-// engines resolves every registered execution engine; the regression tests
-// here run each scenario on all of them so a semantics fix holds in the
-// tree interpreter and the bytecode VM alike.
-func engines(t *testing.T) []interp.Engine {
-	t.Helper()
-	var out []interp.Engine
-	for _, name := range interp.EngineNames() {
-		e, err := interp.EngineByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, e)
-	}
-	if len(out) < 2 {
-		t.Fatalf("expected tree and vm engines, have %v", interp.EngineNames())
-	}
-	return out
-}
+// engines are the execution engines; the regression tests here run each
+// scenario on all of them so a semantics fix holds in the tree interpreter
+// and the bytecode VM alike.
+var engines = []interp.Engine{interp.Tree, vm.Engine{}}
 
 // TestFPToInt64Saturation pins the defined float-to-int conversion: NaN and
 // ±Inf go to 0, finite out-of-range values saturate. Go's own int64(f) is
@@ -68,7 +53,7 @@ func TestFPToInt64Saturation(t *testing.T) {
 		f := m.Add(ir.NewFunction("main", ir.I64, nil, nil))
 		bd := ir.NewBuilder(f.NewBlock("entry"))
 		bd.Ret(bd.Cast(ir.OpFPToSI, ir.ConstFloat(tc.in), ir.I64))
-		for _, eng := range engines(t) {
+		for _, eng := range engines {
 			res, err := eng.Run(m, interp.Options{})
 			if err != nil {
 				t.Fatalf("%s: fptosi(%g): %v", eng.Name(), tc.in, err)
@@ -90,7 +75,7 @@ func TestUnknownGlobalTrapsWithName(t *testing.T) {
 	f := m.Add(ir.NewFunction("main", ir.I64, nil, nil))
 	bd := ir.NewBuilder(f.NewBlock("entry"))
 	bd.Ret(bd.Load(phantom)) // phantom was never AddGlobal'ed
-	for _, eng := range engines(t) {
+	for _, eng := range engines {
 		_, err := eng.Run(m, interp.Options{})
 		if err == nil {
 			t.Fatalf("%s: unknown global did not trap", eng.Name())
@@ -116,7 +101,7 @@ func TestAllocGrowthCappedAtMaxMem(t *testing.T) {
 		t.Fatal(err)
 	}
 	const need = 16384 * 8 // array bytes; plus scalar locals and the null page
-	for _, eng := range engines(t) {
+	for _, eng := range engines {
 		res, err := eng.Run(mod, interp.Options{MaxMem: need + 4096})
 		if err != nil {
 			t.Fatalf("%s: in-budget allocation failed: %v", eng.Name(), err)

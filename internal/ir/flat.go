@@ -220,9 +220,6 @@ func (fl *Flat) InstrSwitchVals(i int32) []int64 {
 // HasResult reports whether instruction i produces an SSA value.
 func (fl *Flat) HasResult(i int32) bool { return fl.Instrs[i].Ty != 0 }
 
-// InstrType returns the result type of instruction i.
-func (fl *Flat) InstrType(i int32) *Type { return fl.Types[fl.Instrs[i].Ty] }
-
 // BlockHasTerm reports whether block b ends in a terminator.
 func (fl *Flat) BlockHasTerm(b int32) bool {
 	blk := &fl.Blocks[b]

@@ -64,14 +64,6 @@ func normalizeInt(ty *Type, v int64) int64 {
 // Type returns the type of the constant.
 func (c *Const) Type() *Type { return c.Ty }
 
-// IsZero reports whether the constant is the additive identity of its type.
-func (c *Const) IsZero() bool {
-	if c.Ty.IsFloat() {
-		return c.F == 0
-	}
-	return c.I == 0
-}
-
 // Ref renders the constant's payload.
 func (c *Const) Ref() string {
 	switch {

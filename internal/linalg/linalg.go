@@ -83,10 +83,6 @@ func Add(dst, src []float64) {
 	}
 }
 
-// AddScaled computes dst += w*src, the historical name used by the
-// embedding code; it is Axpy with the argument order of that call site.
-func AddScaled(dst, src []float64, w float64) { Axpy(w, src, dst) }
-
 // Scale computes x *= alpha elementwise.
 func Scale(alpha float64, x []float64) {
 	for i := range x {

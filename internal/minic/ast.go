@@ -39,13 +39,6 @@ type TypeSpec struct {
 // IsArray reports whether the spec declares an array.
 func (t TypeSpec) IsArray() bool { return len(t.Dims) > 0 }
 
-// ElemSpec returns the spec with the outermost array dimension removed.
-func (t TypeSpec) ElemSpec() TypeSpec {
-	u := t
-	u.Dims = append([]int(nil), t.Dims[1:]...)
-	return u
-}
-
 // File is a parsed translation unit.
 type File struct {
 	Decls []Decl

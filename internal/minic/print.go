@@ -16,13 +16,6 @@ func Print(f *File) string {
 	return pr.sb.String()
 }
 
-// PrintStmt renders one statement (exported for debugging and tests).
-func PrintStmt(s Stmt) string {
-	var pr printer
-	pr.stmt(s)
-	return pr.sb.String()
-}
-
 // PrintExpr renders one expression.
 func PrintExpr(e Expr) string {
 	var pr printer

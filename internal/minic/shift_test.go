@@ -7,30 +7,26 @@ import (
 
 	"repro/internal/interp"
 	"repro/internal/minic"
-
-	_ "repro/internal/vm" // registers the "vm" engine
+	"repro/internal/vm"
 )
 
-// wantRetEngines compiles src once and runs it on every registered engine,
-// requiring each to return want. Regression tests for semantics bugs go
-// through here so a fix in the front end is pinned under both executors.
+// wantRetEngines compiles src once and runs it on the tree interpreter and
+// the bytecode VM, requiring each to return want. Regression tests for
+// semantics bugs go through here so a fix in the front end is pinned under
+// both executors.
 func wantRetEngines(t *testing.T, src string, want int64) {
 	t.Helper()
 	mod, err := minic.CompileSource(src, "test")
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	for _, name := range interp.EngineNames() {
-		eng, err := interp.EngineByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, eng := range []interp.Engine{interp.Tree, vm.Engine{}} {
 		res, err := eng.Run(mod, interp.Options{})
 		if err != nil {
-			t.Fatalf("engine %s: %v\nIR:\n%s", name, err, mod.String())
+			t.Fatalf("engine %s: %v\nIR:\n%s", eng.Name(), err, mod.String())
 		}
 		if res.Ret != want {
-			t.Errorf("engine %s: ret = %d, want %d\nsrc: %s", name, res.Ret, want, src)
+			t.Errorf("engine %s: ret = %d, want %d\nsrc: %s", eng.Name(), res.Ret, want, src)
 		}
 	}
 }

@@ -47,9 +47,9 @@ type Config struct {
 	// RequestTimeout is the per-request deadline; work still pending when
 	// it expires answers 504.
 	RequestTimeout time.Duration
-	// Engine executes /v1/transform requests that ask for execution:
-	// "tree" (default) is the reference interpreter, "vm" the compiled
-	// bytecode engine. Validated at construction so a typo fails fast.
+	// Engine names the engine that executes /v1/transform requests asking
+	// for execution: "vm" (the default) or "tree", the reference
+	// interpreter. Resolved at construction so a typo fails fast.
 	Engine string
 }
 
@@ -113,6 +113,8 @@ type Server struct {
 	// and private to this server: arbitrary traffic must not grow the
 	// pinned progcache.Default without limit.
 	cache *progcache.Cache
+	// engine is cfg.Engine resolved.
+	engine interp.Engine
 
 	// mu guards the model table: names (sorted), batchers and versions all
 	// change together when a snapshot push hot-swaps or adds a model.
@@ -157,11 +159,16 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = defaultRequestTimeout
 	}
-	if _, err := interp.EngineByName(cfg.Engine); err != nil {
+	if cfg.Engine == "" {
+		cfg.Engine = "vm"
+	}
+	engine, err := core.EngineByName(cfg.Engine)
+	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	s := &Server{
 		cfg:      cfg,
+		engine:   engine,
 		batchers: make(map[string]*batcher, len(cfg.Models)),
 		versions: make(map[string]int64, len(cfg.Models)),
 		lineage:  make(map[string]ml.Lineage, len(cfg.Models)),
@@ -322,7 +329,7 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) error {
 		err    error
 	)
 	if req.Execute {
-		irText, vec, exec, err = core.TransformEmbedRun(s.cache, req.Source, req.Evader, s.cfg.Embedding, req.Seed, s.cfg.Engine)
+		irText, vec, exec, err = core.TransformEmbedRun(s.cache, req.Source, req.Evader, s.cfg.Embedding, req.Seed, s.engine)
 	} else {
 		irText, vec, err = core.TransformEmbed(s.cache, req.Source, req.Evader, s.cfg.Embedding, req.Seed)
 	}

@@ -349,12 +349,13 @@ func TestTransformRoundTrip(t *testing.T) {
 
 // TestTransformExecute covers the execute=true path: the response must
 // carry the transformed program's observable behaviour, computed on the
-// configured engine — identical under tree and vm, since the engines are
-// conformance-tested to agree bit-for-bit.
+// configured engine — identical under tree, vm and the default (""), since
+// the engines are conformance-tested to agree bit-for-bit.
 func TestTransformExecute(t *testing.T) {
 	src := "int main() { int i; int s; s = 0; for (i = 0; i < 10; i = i + 1) { s = s + i; } return s; }"
+	engines := []string{"tree", "vm", ""}
 	var execs []*core.ExecObs
-	for _, engine := range []string{"tree", "vm"} {
+	for _, engine := range engines {
 		_, ts := newTestServer(t, serve.Config{
 			Models: map[string]ml.Model{"stub": &stubModel{}},
 			Engine: engine,
@@ -382,8 +383,10 @@ func TestTransformExecute(t *testing.T) {
 		}
 		execs = append(execs, out.Exec)
 	}
-	if *execs[0] != *execs[1] {
-		t.Errorf("engines disagree over the wire: %+v vs %+v", execs[0], execs[1])
+	for i := 1; i < len(execs); i++ {
+		if *execs[i] != *execs[0] {
+			t.Errorf("engine %q disagrees with tree over the wire: %+v vs %+v", engines[i], execs[i], execs[0])
+		}
 	}
 
 	// Without execute, the observation stays absent.
@@ -405,7 +408,7 @@ func TestTransformExecute(t *testing.T) {
 }
 
 // TestBadEngineRejectedAtConstruction pins the fail-fast contract: a typo'd
-// -engine must be an error when the server is built, not a 500 at request
+// engine name must be an error when the server is built, not a 500 at request
 // time.
 func TestBadEngineRejectedAtConstruction(t *testing.T) {
 	_, err := serve.New(serve.Config{

@@ -5,7 +5,7 @@ import (
 	"repro/internal/ir"
 )
 
-// Engine is the compiled bytecode engine, registered as "vm". It compiles
+// Engine is the compiled bytecode engine ("vm"). It compiles
 // the module on every Run; callers that execute the same module many times
 // (benchmarks, the speedup game) should Compile once and reuse the Program.
 type Engine struct{}
@@ -27,12 +27,10 @@ func Run(m *ir.Module, opts interp.Options) (*interp.Result, error) {
 	return Engine{}.Run(m, opts)
 }
 
-func init() { interp.RegisterEngine(Engine{}) }
-
 // BrokenEngine returns an engine with a deliberately miscompiled bytecode
 // op — every integer add executes as a subtract. It exists so the
 // differential harness can prove it detects (and shrinks) real codegen
-// bugs; it is never registered in the engine registry.
+// bugs; nothing outside tests runs it.
 func BrokenEngine() interp.Engine { return brokenEngine{} }
 
 type brokenEngine struct{}
