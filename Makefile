@@ -7,7 +7,7 @@
 #                the passes, obfuscators and compiler that arena workers run
 #                on private thawed copies, plus the source obfuscators that
 #                coevo evolves on worker goroutines and the determinism and
-#                crasher tests of the concurrent difftest campaigns) — run on
+#                crasher tests of the concurrent difftest campaign) — run on
 #                every PR
 #   make bench-figures  regenerate the paper figures as benchmark metrics
 #   make cross   cross-compile for non-amd64 targets (portable kernel paths
@@ -21,19 +21,15 @@
 #                loss, a reportable per-replica latency manifest and a clean
 #                SIGTERM drain — run on every PR
 #   make fuzz-smoke  short deterministic differential-fuzz campaign: 200
-#                generated programs through every pass, pipeline and
-#                obfuscator against the O0 interpreter oracle, every
-#                transformed cell executed on the bytecode VM and
-#                cross-checked bit-for-bit against the tree interpreter —
-#                run on every PR
+#                generated programs through every module-level transform
+#                (passes, pipelines, obfuscators and composed evader
+#                pipelines), each applied to a thawed copy and to a clone
+#                that must match it, the thawed copy run on the bytecode VM
+#                and the tree interpreter and checked against the O0 oracle
+#                — run on every PR
 #   make fuzz    long local campaign over the full transform set (composed
 #                evader pipelines included); shrunk failing programs land
 #                in testdata/crashers/
-#   make thaw-smoke  clone-vs-thaw equivalence campaign: 200 generated
-#                programs, every module-level transform applied to a deep
-#                clone and to a thawed flat-view copy with the same seed;
-#                the two must verify, print and behave bit-for-bit the same
-#                — run on every PR
 #   make coevo-smoke  fixed-seed 3-generation adversarial arena at two
 #                worker counts, manifests diffed at zero tolerance, then a
 #                second arena run pushing every checkpoint into a spawned
@@ -45,11 +41,11 @@
 #                perfbench/README.md
 #   make check   everything CI runs: build + test + race + cross +
 #                serve-smoke + gateway-smoke + coevo-smoke + fuzz-smoke +
-#                thaw-smoke + perfbench-check
+#                perfbench-check
 
 GO ?= go
 
-.PHONY: build test race bench-figures perfbench-check cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke thaw-smoke fuzz check
+.PHONY: build test race bench-figures perfbench-check cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke fuzz check
 
 build:
 	$(GO) build ./...
@@ -154,19 +150,14 @@ coevo-smoke:
 	kill -TERM "$$gpid" && wait "$$gpid" && echo "coevo-smoke: clean drain"
 
 # Deterministic for the fixed seed: same verdict counts on every run and
-# worker count. Every transformed cell runs on the bytecode VM and must match
-# the tree interpreter bit-for-bit (return, output, trap kind, step count).
-# Fails (exit 1) on any semantic mismatch, engine divergence or verifier
-# break.
+# worker count. Each cell transforms a thawed copy and a clone with the same
+# seed; they must verify, print and behave the same, the thawed copy must
+# match the tree interpreter bit-for-bit on the bytecode VM (return, output,
+# trap kind, step count), and the shared master must be left untouched.
+# Fails (exit 1) on any semantic mismatch, engine or thaw divergence or
+# verifier break.
 fuzz-smoke:
-	$(GO) run ./cmd/arena fuzz -n 200 -seed 1 -set smoke -small
-
-# The thaw proof obligation at PR scale: 200 generated programs, every
-# module-level transform applied to a deep clone and to a thawed flat-view
-# copy with identical seeds; any print/verify/behaviour divergence or any
-# mutation of the shared master fails the build.
-thaw-smoke:
-	$(GO) run ./cmd/arena fuzz -thaw -n 200 -seed 1 -set module -small
+	$(GO) run ./cmd/arena fuzz -n 200 -seed 1 -set module -small
 
 # Open-ended local campaign: bigger programs, composed evader pipelines,
 # repeated batches for 2 minutes. Crashers are shrunk automatically.
@@ -179,4 +170,4 @@ fuzz:
 perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
-check: build test race cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke thaw-smoke perfbench-check
+check: build test race cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke perfbench-check

@@ -7,13 +7,13 @@ import (
 	"time"
 
 	"repro/internal/difftest"
-	"repro/internal/progcache"
 )
 
 // cmdFuzz runs a differential-fuzzing campaign: seeded generated programs
 // through every registered transform, checked against the O0 oracle on the
-// tree interpreter, with every transformed module also run on the bytecode
-// VM and cross-checked against the tree. Exits nonzero when any cell breaks
+// tree interpreter. Each module-level transform runs on a thawed copy and on
+// a clone that must match it; the thawed copy also runs on the bytecode VM
+// and is cross-checked against the tree. Exits nonzero when any cell breaks
 // semantics, writing shrunk repros to -crashers.
 func cmdFuzz(args []string) error {
 	fs := flag.NewFlagSet("fuzz", flag.ExitOnError)
@@ -29,8 +29,6 @@ func cmdFuzz(args []string) error {
 	crashers := fs.String("crashers", "testdata/crashers",
 		"directory for shrunk failing programs (empty = don't write)")
 	noShrink := fs.Bool("no-shrink", false, "report failures unshrunk (faster triage turnaround)")
-	thaw := fs.Bool("thaw", false,
-		"run the clone-vs-thaw equivalence campaign instead: each module-level transform is applied to a deep clone and to a thawed flat-view copy with the same seed, and the two must match bit-for-bit")
 	verbose := fs.Bool("v", false, "per-transform table + obs footer")
 	of := addObs(fs)
 	if err := fs.Parse(args); err != nil {
@@ -40,10 +38,6 @@ func cmdFuzz(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *thaw {
-		return fuzzThaw(rec, *n, *seed, *workers, *set, *small)
-	}
-
 	cfg := difftest.CampaignConfig{
 		N: *n, Seed: *seed, Workers: *workers, Set: *set,
 		CrashersDir: *crashers, Shrink: !*noShrink,
@@ -63,13 +57,11 @@ func cmdFuzz(args []string) error {
 		total.Merge(res)
 		batches++
 		// One batch when -dur is zero; otherwise advance the seed space and
-		// go again until the deadline. Reset the compile cache between
-		// batches so a long campaign's memory stays flat.
+		// go again until the deadline.
 		if *dur == 0 || !time.Now().Before(deadline) {
 			break
 		}
 		cfg.Seed += int64(cfg.N)
-		progcache.Reset()
 	}
 
 	for _, name := range total.TransformNames() {
@@ -98,35 +90,6 @@ func cmdFuzz(args []string) error {
 			fmt.Fprintf(os.Stderr, "shrunk repros written to %s\n", *crashers)
 		}
 		return fmt.Errorf("%d semantics-breaking cells", total.TotalFailures()+total.OracleErrs)
-	}
-	return nil
-}
-
-// fuzzThaw runs the clone-vs-thaw differential campaign: the thaw-derived
-// copy of every cached module must be indistinguishable from the deep-clone
-// oracle under every registered module-level transform. Exits nonzero on any
-// divergence.
-func fuzzThaw(rec *runRecorder, n int, seed int64, workers int, set string, small bool) error {
-	cfg := difftest.ThawEquivConfig{N: n, Seed: seed, Workers: workers, Set: set}
-	if small {
-		cfg.Gen = difftest.SmokeGen()
-	}
-	res, err := difftest.RunThawEquivalence(cfg)
-	if err != nil {
-		return err
-	}
-	rec.man.AddCell("fuzz/thaw", "cells", []float64{float64(res.Cells)})
-	rec.man.AddCell("fuzz/thaw", "failures", []float64{float64(len(res.Failures))})
-	if err := rec.finish(); err != nil {
-		return err
-	}
-	fmt.Printf("fuzz -thaw: %d programs x %d transforms = %d clone-vs-thaw cells: %d failures, %d oracle errors\n",
-		res.Programs, res.Transforms, res.Cells, len(res.Failures), res.OracleErrs)
-	if len(res.Failures) > 0 || res.OracleErrs > 0 {
-		for _, f := range res.Failures {
-			fmt.Fprintf(os.Stderr, "FAIL seed=%d transform=%s: %.200s\n", f.Seed, f.Transform, f.Detail)
-		}
-		return fmt.Errorf("%d clone-vs-thaw divergences", len(res.Failures))
 	}
 	return nil
 }

@@ -147,7 +147,7 @@ func printObsFooter(wall time.Duration, d obs.Snapshot) {
 func cmdReport(args []string) error {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
 	tol := fs.Float64("tol", -1,
-		"fail (exit nonzero) if any cell's |mean accuracy delta| exceeds this (negative = report only)")
+		"fail (exit nonzero) if any cell's |mean accuracy delta| exceeds this or a baseline cell is missing from the candidate (negative = report only)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -164,9 +164,8 @@ func cmdReport(args []string) error {
 	}
 	d := obs.DiffManifests(a, b)
 	d.WriteText(os.Stdout)
-	if *tol >= 0 && d.MaxAbsDelta > *tol {
-		return fmt.Errorf("accuracy regression: max |mean delta| %.4f exceeds tolerance %.4f",
-			d.MaxAbsDelta, *tol)
+	if *tol < 0 {
+		return nil
 	}
-	return nil
+	return d.Gate(*tol)
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/obs"
-	"repro/internal/progcache"
 	"repro/internal/progen"
 	"repro/internal/vm"
 )
@@ -49,6 +48,7 @@ type TransformStats struct {
 	TrapSkipped    int64
 	Mismatch       int64
 	EngineDiverged int64
+	ThawDiverged   int64
 	VerifyFail     int64
 	Errors         int64
 	Nanos          int64
@@ -59,6 +59,7 @@ func (s *TransformStats) add(o TransformStats) {
 	s.TrapSkipped += o.TrapSkipped
 	s.Mismatch += o.Mismatch
 	s.EngineDiverged += o.EngineDiverged
+	s.ThawDiverged += o.ThawDiverged
 	s.VerifyFail += o.VerifyFail
 	s.Errors += o.Errors
 	s.Nanos += o.Nanos
@@ -66,7 +67,7 @@ func (s *TransformStats) add(o TransformStats) {
 
 // Failures returns the count of semantics-breaking verdicts.
 func (s *TransformStats) Failures() int64 {
-	return s.Mismatch + s.EngineDiverged + s.VerifyFail + s.Errors
+	return s.Mismatch + s.EngineDiverged + s.ThawDiverged + s.VerifyFail + s.Errors
 }
 
 // Cells returns the number of cells checked, whatever their verdict.
@@ -139,15 +140,23 @@ func cellSeed(progSeed int64, transform string) int64 {
 
 // RunCampaign generates cfg.N programs and pushes each through every
 // transform in cfg.Set, aggregating verdicts per transform and shrinking
-// failures when asked. Every transformed module runs on the bytecode VM and
-// is cross-checked bit-for-bit against the tree interpreter (see CheckOne).
-// The run is deterministic for a fixed (Seed, N, Set) regardless of
-// Workers.
+// failures when asked. Each program is compiled, verified, run for the
+// oracle and flattened once; every module-level cell then checks a thawed
+// copy against a clone, runs the thawed copy on the bytecode VM and the
+// tree interpreter, and re-checks the master (see check). The run is
+// deterministic for a fixed (Seed, N, Set) regardless of Workers.
 func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
+	if cfg.N < 1 {
+		return nil, fmt.Errorf("difftest: a campaign needs at least one program, got N=%d", cfg.N)
+	}
 	trs, err := Transforms(cfg.Set)
 	if err != nil {
 		return nil, err
 	}
+	return runCampaign(cfg, trs)
+}
+
+func runCampaign(cfg CampaignConfig, trs []Transform) (*CampaignResult, error) {
 	gen := cfg.Gen
 	if gen == (progen.Config{}) {
 		gen = progen.DefaultConfig()
@@ -175,7 +184,7 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		progSeed := cfg.Seed + int64(i)
 		src := progen.GenerateCfg(rand.New(rand.NewSource(progSeed)), gen)
 		programs.Inc()
-		oracle, err := Oracle(src)
+		p, err := prepare(src)
 		if err != nil {
 			// A generator bug, not a transform bug: surface it as a
 			// campaign-level failure with no transform attached.
@@ -189,8 +198,8 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		sl.stats = make([]TransformStats, len(trs))
 		for j, tr := range trs {
 			start := time.Now()
-			rng := rand.New(rand.NewSource(cellSeed(progSeed, tr.Name)))
-			v, detail := CheckOne(src, tr, rng, oracle, vm.Engine{})
+			seed := cellSeed(progSeed, tr.Name)
+			v, detail := p.check(tr, seed, vm.Engine{})
 			elapsed := time.Since(start)
 			obs.GetTimer("fuzz.transform." + tr.Name).Observe(elapsed)
 			st := &sl.stats[j]
@@ -207,6 +216,9 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 			case EngineDiverged:
 				st.EngineDiverged++
 				mismatches.Inc()
+			case ThawDiverged:
+				st.ThawDiverged++
+				mismatches.Inc()
 			case VerifyFail:
 				st.VerifyFail++
 				verifyfails.Inc()
@@ -217,7 +229,7 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 			if v.Failure() {
 				repro := src
 				if cfg.Shrink {
-					repro = ShrinkFailure(src, tr, progSeed, vm.Engine{})
+					repro = ShrinkFailure(src, tr, seed, vm.Engine{})
 				}
 				sl.failures = append(sl.failures, Failure{
 					Seed: progSeed, Transform: tr.Name, Verdict: v,
@@ -249,25 +261,17 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 			return res, err
 		}
 	}
-	// Composed transforms route through core.Transform's progcache; a long
-	// campaign would otherwise pin every generated source in memory.
-	progcache.Reset()
 	return res, nil
 }
 
 // ShrinkFailure minimizes src while the transform still fails on it under
-// CheckOne with eng, so an EngineDiverged cell shrinks while the engines
-// still disagree. The oracle is recomputed per candidate, so shrinking can
-// never convert a transform bug into a generator artifact.
-func ShrinkFailure(src string, tr Transform, progSeed int64, eng interp.Engine) string {
+// CheckOne with eng and the cell seed, so an EngineDiverged cell shrinks
+// while the engines still disagree. The oracle is recomputed per candidate,
+// so shrinking can never convert a transform bug into a generator artifact.
+func ShrinkFailure(src string, tr Transform, seed int64, eng interp.Engine) string {
 	return Shrink(src, func(cand string) bool {
-		oracle, err := Oracle(cand)
-		if err != nil {
-			return false
-		}
-		rng := rand.New(rand.NewSource(cellSeed(progSeed, tr.Name)))
-		v, _ := CheckOne(cand, tr, rng, oracle, eng)
-		return v.Failure()
+		v, _, err := CheckOne(cand, tr, seed, eng)
+		return err == nil && v.Failure()
 	})
 }
 

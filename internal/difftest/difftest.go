@@ -1,9 +1,12 @@
 // Package difftest is the differential-testing harness behind `arena fuzz`
 // and `make fuzz-smoke`: it compiles generated MiniC programs, records the
-// unoptimized interpreter run as the semantic oracle, then pushes the same
-// source through every registered transformation — each optimization pass,
-// the O1–O3 pipelines, each obfuscator and composed evader pipelines — and
-// demands that the module still verifies and behaves identically.
+// unoptimized interpreter run as the semantic oracle, then pushes copies of
+// each compiled module through every registered transformation — each
+// optimization pass, the O1–O3 pipelines, each obfuscator and composed
+// evader pipelines — and demands that the result still verifies and
+// behaves identically. Every module-level transform runs on a thawed copy
+// (the copy production transforms) and on a clone (the reference), which
+// must agree bit for bit.
 //
 // # Trap-equivalence policy
 //
@@ -108,26 +111,32 @@ func Observe(m *ir.Module, maxSteps int64, eng interp.Engine) Obs {
 // Oracle compiles src at O0 and records its behaviour on the tree
 // interpreter, which every transformed run is then compared against.
 func Oracle(src string) (Obs, error) {
-	m, err := minic.CompileSource(src, "oracle")
+	_, oracle, err := compileOracle(src)
+	return oracle, err
+}
+
+func compileOracle(src string) (*ir.Module, Obs, error) {
+	m, err := minic.CompileSource(src, "prog")
 	if err != nil {
-		return Obs{}, fmt.Errorf("oracle compile: %w", err)
+		return nil, Obs{}, fmt.Errorf("oracle compile: %w", err)
 	}
 	if err := m.Verify(); err != nil {
-		return Obs{}, fmt.Errorf("oracle verify: %w", err)
+		return nil, Obs{}, fmt.Errorf("oracle verify: %w", err)
 	}
-	return Observe(m, OracleMaxSteps, interp.Tree), nil
+	return m, Observe(m, OracleMaxSteps, interp.Tree), nil
 }
 
 // Verdict classifies one (program, transform) cell.
 type Verdict int
 
-// The verdicts, from best to worst. Mismatch, EngineDiverged, VerifyFail
-// and TransformError are failures; Equal and TrapSkipped are not.
+// The verdicts, from best to worst. Every verdict from Mismatch on is a
+// failure; Equal and TrapSkipped are not.
 const (
 	Equal          Verdict = iota // identical observable behaviour
 	TrapSkipped                   // oracle trapped; compared under the relaxed trap clause
 	Mismatch                      // observable behaviour diverged
 	EngineDiverged                // two execution engines disagreed on the same module
+	ThawDiverged                  // the thawed copy and the clone disagreed, or the master changed
 	VerifyFail                    // ir.Verify failed after the transform
 	TransformError                // the transform itself returned an error
 )
@@ -142,6 +151,8 @@ func (v Verdict) String() string {
 		return "mismatch"
 	case EngineDiverged:
 		return "engine-diverged"
+	case ThawDiverged:
+		return "thaw-diverged"
 	case VerifyFail:
 		return "verify-fail"
 	default:
@@ -175,86 +186,51 @@ func Equivalent(oracle, got Obs) (Verdict, string) {
 	return TrapSkipped, ""
 }
 
-// Transform is one registered transformation under test.
+// Transform is one registered transformation under test. It has exactly
+// one form: Mod mutates a compiled module in place (every pass, pipeline,
+// obfuscator and composed pipeline); Src rewrites MiniC text and compiles
+// the result (the source-level evader strategies, which have no module form).
 type Transform struct {
 	Name  string
 	Group string // pass | pipeline | obfus | composed | source
-	Apply func(src string, rng *rand.Rand) (*ir.Module, error)
-	// ApplyMod is the module-level half of the transform: it mutates a
-	// module the caller already compiled. Apply is compile followed by
-	// ApplyMod for every group except "source" (whose transforms rewrite
-	// MiniC text and therefore have no module form; ApplyMod is nil there).
-	// The thaw-equivalence campaign uses ApplyMod to run one transform over
-	// two differently-obtained copies of the same module.
-	ApplyMod func(m *ir.Module, rng *rand.Rand) error
-}
-
-// compile is the front half shared by the pass/pipeline/obfus transforms.
-// Each cell compiles privately (no progcache) so a cache bug can never mask
-// or fabricate a transform bug.
-func compile(src string) (*ir.Module, error) {
-	return minic.CompileSource(src, "prog")
-}
-
-// fromMod lifts a module-level transform into the source-level Apply shape.
-func fromMod(mod func(m *ir.Module, rng *rand.Rand) error) func(src string, rng *rand.Rand) (*ir.Module, error) {
-	return func(src string, rng *rand.Rand) (*ir.Module, error) {
-		m, err := compile(src)
-		if err != nil {
-			return nil, err
-		}
-		return m, mod(m, rng)
-	}
+	Mod   func(m *ir.Module, rng *rand.Rand) error
+	Src   func(src string, rng *rand.Rand) (*ir.Module, error)
 }
 
 func passTransform(name string) Transform {
-	mod := func(m *ir.Module, _ *rand.Rand) error {
+	return Transform{Name: name, Group: "pass", Mod: func(m *ir.Module, _ *rand.Rand) error {
 		_, err := passes.RunPass(m, name)
 		return err
-	}
-	return Transform{Name: name, Group: "pass", Apply: fromMod(mod), ApplyMod: mod}
+	}}
 }
 
 func pipelineTransform(name string) Transform {
 	lvl, _ := passes.ParseLevel(name)
-	mod := func(m *ir.Module, _ *rand.Rand) error {
+	return Transform{Name: name, Group: "pipeline", Mod: func(m *ir.Module, _ *rand.Rand) error {
 		return passes.Optimize(m, lvl)
-	}
-	return Transform{Name: name, Group: "pipeline", Apply: fromMod(mod), ApplyMod: mod}
+	}}
 }
 
 func obfusTransform(name string) Transform {
-	mod := func(m *ir.Module, rng *rand.Rand) error {
+	return Transform{Name: name, Group: "obfus", Mod: func(m *ir.Module, rng *rand.Rand) error {
 		return obfus.Apply(m, name, rng)
-	}
-	return Transform{Name: name, Group: "obfus", Apply: fromMod(mod), ApplyMod: mod}
+	}}
 }
 
 // composedTransform chains a core evader with a core normalization level —
-// the exact obfuscate-then-normalize composition Game 3 plays. The evaders
-// composed here are all module-level obfuscations, so the module form simply
-// chains the two mutations; Apply still routes through core.Transform so the
-// campaign exercises the same progcache path production uses.
+// the exact obfuscate-then-normalize composition Game 3 plays.
 func composedTransform(evader, level string) Transform {
 	lvl, _ := passes.ParseLevel(level)
-	return Transform{Name: evader + "+" + level, Group: "composed",
-		Apply: func(src string, rng *rand.Rand) (*ir.Module, error) {
-			m, err := core.Transform(src, evader, rng)
-			if err != nil {
-				return nil, err
-			}
-			return m, core.Normalize(m, lvl)
-		},
-		ApplyMod: func(m *ir.Module, rng *rand.Rand) error {
-			if err := obfus.Apply(m, evader, rng); err != nil {
-				return err
-			}
-			return core.Normalize(m, lvl)
-		}}
+	return Transform{Name: evader + "+" + level, Group: "composed", Mod: func(m *ir.Module, rng *rand.Rand) error {
+		if err := obfus.Apply(m, evader, rng); err != nil {
+			return err
+		}
+		return core.Normalize(m, lvl)
+	}}
 }
 
 func sourceTransform(name string) Transform {
-	return Transform{Name: name, Group: "source", Apply: func(src string, rng *rand.Rand) (*ir.Module, error) {
+	return Transform{Name: name, Group: "source", Src: func(src string, rng *rand.Rand) (*ir.Module, error) {
 		return core.Transform(src, name, rng)
 	}}
 }
@@ -323,22 +299,130 @@ func EngineCheck(m *ir.Module, maxSteps int64, eng interp.Engine) (Obs, Verdict,
 	return tree, Equal, ""
 }
 
-// CheckOne runs a single (program, transform) cell against a precomputed
-// oracle and returns the verdict plus a human-readable detail on failure.
-// The transformed module executes on eng and on the tree interpreter; any
-// disagreement between the two is EngineDiverged, reported before the
-// transform-equivalence comparison.
-func CheckOne(src string, tr Transform, rng *rand.Rand, oracle Obs, eng interp.Engine) (Verdict, string) {
-	m, err := tr.Apply(src, rng)
+// program is one generated program made ready for its cells: the verified
+// O0 master module, the oracle recorded on it, its flat view and its printed
+// form. Cells transform copies of the master, never the master itself.
+type program struct {
+	src    string
+	oracle Obs
+	master *ir.Module
+	flat   *ir.Flat
+	text   string
+}
+
+func prepare(src string) (*program, error) {
+	m, oracle, err := compileOracle(src)
 	if err != nil {
-		return TransformError, err.Error()
+		return nil, err
 	}
-	if err := m.Verify(); err != nil {
-		return VerifyFail, err.Error()
+	return &program{src: src, oracle: oracle, master: m, flat: ir.Flatten(m), text: m.String()}, nil
+}
+
+// CheckOne compiles src, records its oracle and runs the (program,
+// transform) cell under the cell seed; see check. err reports a program the
+// oracle itself cannot compile or verify — a generator or shrinker
+// artifact, not a verdict on tr.
+func CheckOne(src string, tr Transform, seed int64, eng interp.Engine) (Verdict, string, error) {
+	p, err := prepare(src)
+	if err != nil {
+		return 0, "", err
 	}
-	got, v, detail := EngineCheck(m, budgetFor(oracle.Steps), eng)
+	v, detail := p.check(tr, seed, eng)
+	return v, detail, nil
+}
+
+// check runs one cell and returns its verdict plus a human-readable detail
+// on failure. A module transform is applied, with the same seed, to a
+// thawed copy of the master (the copy production transforms) and to a
+// clone (the reference). The cell then demands, in order:
+//
+//  1. both copies return the same error or none (else ThawDiverged;
+//     the same error is TransformError);
+//  2. both verify (VerifyFail when neither does, ThawDiverged when one does);
+//  3. both print the same (ThawDiverged);
+//  4. the thawed copy gets the same result on eng and on the tree
+//     interpreter (EngineDiverged, see EngineCheck);
+//  5. the clone gets that result on the tree interpreter (ThawDiverged);
+//  6. that result matches the oracle (Equivalent);
+//  7. the master still prints the same and re-flattens to the same tables.
+//
+// Step 7 runs whatever the earlier steps found, so a transform that writes
+// through an object the copies share with the master (a type, a foreign
+// declaration) is blamed in the cell that did it. Its ThawDiverged verdict
+// replaces the cell's own: a corrupted master is the cause of anything else
+// the cell saw. The master is then rebuilt, so later cells start clean.
+//
+// A source transform has no module to copy: its one result verifies, runs
+// steps 4 and 6, and touches no master.
+func (p *program) check(tr Transform, seed int64, eng interp.Engine) (Verdict, string) {
+	if tr.Src != nil {
+		m, err := tr.Src(p.src, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			return TransformError, err.Error()
+		}
+		if err := m.Verify(); err != nil {
+			return VerifyFail, err.Error()
+		}
+		return p.run(m, nil, eng)
+	}
+	v, detail := p.checkCopies(tr, seed, eng)
+	if d := p.masterDiff(); d != "" {
+		if fresh, err := prepare(p.src); err == nil {
+			*p = *fresh
+		}
+		return ThawDiverged, d
+	}
+	return v, detail
+}
+
+// checkCopies runs steps 1–6 of check.
+func (p *program) checkCopies(tr Transform, seed int64, eng interp.Engine) (Verdict, string) {
+	th, cl := ir.Thaw(p.flat), p.master.Clone()
+	errT := tr.Mod(th, rand.New(rand.NewSource(seed)))
+	errC := tr.Mod(cl, rand.New(rand.NewSource(seed)))
+	switch {
+	case (errT == nil) != (errC == nil) || errT != nil && errT.Error() != errC.Error():
+		return ThawDiverged, fmt.Sprintf("transform errors differ: thaw=%v clone=%v", errT, errC)
+	case errT != nil:
+		return TransformError, errT.Error()
+	}
+	errT, errC = th.Verify(), cl.Verify()
+	switch {
+	case errT != nil && errC != nil:
+		return VerifyFail, errT.Error()
+	case errT != nil || errC != nil:
+		return ThawDiverged, fmt.Sprintf("only one copy verifies: thaw=%v clone=%v", errT, errC)
+	}
+	if a, b := th.String(), cl.String(); a != b {
+		return ThawDiverged, fmt.Sprintf("copies print differently:\n--- thaw ---\n%s\n--- clone ---\n%s", a, b)
+	}
+	return p.run(th, cl, eng)
+}
+
+// run executes m on eng and the tree interpreter, checks that the clone
+// (when there is one) behaves the same on the tree, and compares the result
+// with the oracle.
+func (p *program) run(m, clone *ir.Module, eng interp.Engine) (Verdict, string) {
+	budget := budgetFor(p.oracle.Steps)
+	got, v, detail := EngineCheck(m, budget, eng)
 	if v.Failure() {
 		return v, detail
 	}
-	return Equivalent(oracle, got)
+	if clone != nil {
+		if c := Observe(clone, budget, interp.Tree); c != got {
+			return ThawDiverged, fmt.Sprintf("copies behave differently: thaw %s vs clone %s", got, c)
+		}
+	}
+	return Equivalent(p.oracle, got)
+}
+
+// masterDiff reports any change to the master since prepare.
+func (p *program) masterDiff() string {
+	if s := p.master.String(); s != p.text {
+		return fmt.Sprintf("master mutated by the cell:\n--- before ---\n%s\n--- after ---\n%s", p.text, s)
+	}
+	if d := ir.FlatDiff(p.flat, ir.Flatten(p.master)); d != "" {
+		return "master no longer re-flattens to its original tables: " + d
+	}
+	return ""
 }

@@ -14,7 +14,8 @@ import (
 // span out of them, so a thawed copy costs a near-constant number of
 // allocations regardless of program size.
 //
-// Sharing invariants (the clone-vs-thaw equivalence suite pins these):
+// Sharing invariants (difftest's fuzz campaign pins these in every
+// module-level cell, thawed copy against clone):
 //
 //   - Shared with the master, exactly like Clone: types (immutable,
 //     including Function.Sig and Global.Elem), foreign call targets and

@@ -238,8 +238,8 @@ func TestThawArenaSpans(t *testing.T) {
 
 // TestThawMatchesCloneUnderTransforms runs identical seeded transform
 // pipelines over a cloned and a thawed copy and requires byte-identical
-// results — the in-package smoke version of difftest's campaign-scale
-// clone-vs-thaw equivalence run.
+// results — the in-package smoke version of the thawed-copy-against-clone
+// check in every module-level cell of difftest's campaign.
 func TestThawMatchesCloneUnderTransforms(t *testing.T) {
 	master, fl := thawMaster(t)
 	for _, tc := range []struct {

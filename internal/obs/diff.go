@@ -34,13 +34,16 @@ type Diff struct {
 	ConfigDiffs []string
 	// MaxAbsDelta is the largest |mean delta| across matched cells.
 	MaxAbsDelta float64
+	// Missing counts the non-volatile baseline cells absent from the
+	// candidate.
+	Missing int
 	// Identical reports that both manifests matched on every cell's raw
 	// values with none missing.
 	Identical bool
 }
 
 // cellKey identifies a cell across manifests: one name may carry several
-// metrics (`fuzz -thaw` records cells and failures under "fuzz/thaw").
+// metrics, so a name alone is not a key.
 type cellKey struct{ name, metric string }
 
 // DiffManifests compares b against a (a is the baseline). Cells are
@@ -61,6 +64,7 @@ func DiffManifests(a, b *Manifest) *Diff {
 			d.OnlyA = append(d.OnlyA, ca.Name)
 			if !ca.Volatile {
 				d.Identical = false
+				d.Missing++
 			}
 			continue
 		}
@@ -100,6 +104,21 @@ func DiffManifests(a, b *Manifest) *Diff {
 		}
 	}
 	return d
+}
+
+// Gate is the regression check behind `arena report -tol`: it fails when a
+// matched cell's |mean delta| exceeds tol or a non-volatile baseline cell
+// is missing from the candidate. Cells only in the candidate are reported
+// but never gate.
+func (d *Diff) Gate(tol float64) error {
+	if d.Missing > 0 {
+		return fmt.Errorf("%d baseline cell(s) missing from the candidate", d.Missing)
+	}
+	if d.MaxAbsDelta > tol {
+		return fmt.Errorf("accuracy regression: max |mean delta| %.4f exceeds tolerance %.4f",
+			d.MaxAbsDelta, tol)
+	}
+	return nil
 }
 
 func floatsEqual(a, b []float64) bool {

@@ -44,13 +44,12 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDiffMatchesCellsByMetric: one cell name may carry several metrics
-// (`arena fuzz -thaw` records "fuzz/thaw" cells and failures); a manifest
-// diffed against itself must pair each with its own metric.
+// TestDiffMatchesCellsByMetric: one cell name may carry several metrics; a
+// manifest diffed against itself must pair each with its own metric.
 func TestDiffMatchesCellsByMetric(t *testing.T) {
 	m := NewManifest("fuzz", nil, 1)
-	m.AddCell("fuzz/thaw", "cells", []float64{3800})
-	m.AddCell("fuzz/thaw", "failures", []float64{0})
+	m.AddCell("fuzz/O2", "cells", []float64{3800})
+	m.AddCell("fuzz/O2", "failures", []float64{0})
 	d := DiffManifests(m, m)
 	if !d.Identical || d.MaxAbsDelta != 0 || len(d.Cells) != 2 {
 		t.Fatalf("self-diff of a two-metric cell: %+v", d)
@@ -93,6 +92,31 @@ func TestDiffDetectsMissingCells(t *testing.T) {
 	}
 	if len(d.OnlyB) != 1 || d.OnlyB[0] != "game0/histogram/svm" {
 		t.Fatalf("OnlyB = %v", d.OnlyB)
+	}
+}
+
+// TestDiffGateMissingCells: at any tolerance a candidate that lost a
+// gated baseline cell fails, while a lost volatile cell or an extra
+// candidate cell does not.
+func TestDiffGateMissingCells(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		edit    func(a, b *Manifest)
+		wantErr bool
+	}{
+		{"missing cell fails", func(a, b *Manifest) { b.Cells = b.Cells[:1] }, true},
+		{"missing volatile cell passes", func(a, b *Manifest) {
+			a.AddVolatileCell("game0/retrain_ms", "ms", []float64{12})
+		}, false},
+		{"extra candidate cell passes", func(a, b *Manifest) {
+			b.AddCell("game0/histogram/svm", "accuracy", []float64{0.5})
+		}, false},
+	} {
+		a, b := testManifest(), testManifest()
+		tc.edit(a, b)
+		if err := DiffManifests(a, b).Gate(0); (err != nil) != tc.wantErr {
+			t.Errorf("%s: Gate(0) = %v, want error %v", tc.name, err, tc.wantErr)
+		}
 	}
 }
 

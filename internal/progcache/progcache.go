@@ -176,8 +176,9 @@ func (c *Cache) Flat(src, name string) (*ir.Flat, error) {
 
 // Thaw returns a freshly built module for src that the caller owns and may
 // mutate freely. It thaws the cached flat view (ir.Thaw), which allocates
-// the whole module out of a handful of arenas; the difftest thaw campaign
-// pins each thawed copy bit-for-bit against a deep clone of the master.
+// the whole module out of a handful of arenas; every module-level cell of
+// the difftest campaign pins a thawed copy bit-for-bit against a deep clone
+// of the master.
 func (c *Cache) Thaw(src, name string) (*ir.Module, error) {
 	fl, err := c.Flat(src, name)
 	if err != nil {
