@@ -7,8 +7,9 @@
 #                the passes, obfuscators and compiler that arena workers run
 #                on private thawed copies, plus the source obfuscators that
 #                coevo evolves on worker goroutines and the determinism and
-#                crasher tests of the concurrent difftest campaign) — run on
-#                every PR
+#                crasher tests of the concurrent difftest campaign), then
+#                the serve batcher tests 20 times over to shake out
+#                close/enqueue interleavings — run on every PR
 #   make bench-figures  regenerate the paper figures as benchmark metrics
 #   make cross   cross-compile for non-amd64 targets (portable kernel paths
 #                must build — no panic stubs allowed to hide there)
@@ -62,6 +63,7 @@ race:
 		./internal/vm/... ./internal/passes/... ./internal/obfus/... \
 		./internal/minic/... ./internal/srcobf/... ./cmd/arena/...
 	$(GO) test -race -run 'Deterministic|WritesCrashers' ./internal/difftest/
+	$(GO) test -race -count=20 -run 'TestBatcher' ./internal/serve/
 
 # arm64 covers the !amd64 dispatch build; 386 additionally shakes out
 # 64-bit-assuming code on a 32-bit word size.

@@ -41,7 +41,6 @@ func cmdServe(args []string) error {
 	seed := fs.Int64("seed", 1, "training seed for missing snapshots")
 	maxInFlight := fs.Int("max-inflight", 128, "admitted requests before the server answers 429")
 	maxBatch := fs.Int("max-batch", 32, "max classify requests coalesced into one batched predict pass")
-	window := fs.Duration("batch-window", 2*time.Millisecond, "how long a batch waits to fill after its first request")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request deadline (504 past it)")
 	verbose := fs.Bool("v", false, "print the obs footer after shutdown")
 	o := addObs(fs)
@@ -67,7 +66,6 @@ func cmdServe(args []string) error {
 		Embedding:      *embedding,
 		MaxInFlight:    *maxInFlight,
 		MaxBatch:       *maxBatch,
-		BatchWindow:    *window,
 		RequestTimeout: *timeout,
 	})
 	if err != nil {

@@ -328,8 +328,7 @@ func TestPushHotSwapFleet(t *testing.T) {
 	var addrs []string
 	for i := 0; i < 2; i++ {
 		s, err := serve.New(serve.Config{
-			Models:      map[string]ml.Model{"lr": modelA},
-			BatchWindow: time.Millisecond,
+			Models: map[string]ml.Model{"lr": modelA},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,6 @@
 package ir
 
-import "fmt"
+import "strconv"
 
 // Instr is a single IR instruction. One struct represents all 63 opcodes;
 // the auxiliary fields (Pred, Blocks, SwitchVals, Callee, Builtin, AllocaTy)
@@ -57,7 +57,7 @@ func (in *Instr) Type() *Type {
 }
 
 // Ref returns the SSA name of the instruction's result.
-func (in *Instr) Ref() string { return fmt.Sprintf("%%t%d", in.ID) }
+func (in *Instr) Ref() string { return "%t" + strconv.Itoa(in.ID) }
 
 // HasResult reports whether the instruction produces an SSA value.
 func (in *Instr) HasResult() bool { return !in.Type().IsVoid() }

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -9,13 +10,15 @@ import (
 // is intended for debugging and golden tests, not for re-parsing.
 func (m *Module) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "; module %s\n", m.Name)
+	sb.WriteString("; module ")
+	sb.WriteString(m.Name)
+	sb.WriteByte('\n')
 	for _, g := range m.Globals {
 		sb.WriteString(g.Def())
 		sb.WriteByte('\n')
 	}
 	for _, f := range m.Functions {
-		sb.WriteString(f.String())
+		f.writeTo(&sb)
 		sb.WriteByte('\n')
 	}
 	return sb.String()
@@ -52,109 +55,235 @@ func (g *Global) Def() string {
 // String renders the function with its blocks and instructions.
 func (f *Function) String() string {
 	var sb strings.Builder
-	params := make([]string, len(f.Params))
+	f.writeTo(&sb)
+	return sb.String()
+}
+
+func (f *Function) writeTo(sb *strings.Builder) {
+	if f.IsDecl() {
+		sb.WriteString("declare ")
+	} else {
+		sb.WriteString("define ")
+	}
+	f.RetType().writeTo(sb)
+	sb.WriteString(" @")
+	sb.WriteString(f.Name)
+	sb.WriteByte('(')
 	for i, p := range f.Params {
-		params[i] = fmt.Sprintf("%s %%%s", p.Ty, p.Name)
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		p.Ty.writeTo(sb)
+		sb.WriteString(" %")
+		sb.WriteString(p.Name)
 	}
 	if f.IsDecl() {
-		fmt.Fprintf(&sb, "declare %s @%s(%s)\n", f.RetType(), f.Name, strings.Join(params, ", "))
-		return sb.String()
+		sb.WriteString(")\n")
+		return
 	}
-	fmt.Fprintf(&sb, "define %s @%s(%s) {\n", f.RetType(), f.Name, strings.Join(params, ", "))
+	sb.WriteString(") {\n")
 	for _, b := range f.Blocks {
-		fmt.Fprintf(&sb, "%s:\n", b.Label())
+		writeLabel(sb, b)
+		sb.WriteString(":\n")
 		for _, in := range b.Instrs {
-			fmt.Fprintf(&sb, "  %s\n", in.String())
+			sb.WriteString("  ")
+			in.writeTo(sb)
+			sb.WriteByte('\n')
 		}
 	}
 	sb.WriteString("}\n")
-	return sb.String()
 }
 
 // String renders a single instruction.
 func (in *Instr) String() string {
-	ref := func(v Value) string {
-		if v == nil {
-			return "<nil>"
-		}
-		return fmt.Sprintf("%s %s", v.Type(), v.Ref())
-	}
+	var sb strings.Builder
+	in.writeTo(&sb)
+	return sb.String()
+}
+
+func (in *Instr) writeTo(sb *strings.Builder) {
 	switch in.Op {
 	case OpRet:
 		if len(in.Args) == 0 {
-			return "ret void"
+			sb.WriteString("ret void")
+			return
 		}
-		return "ret " + ref(in.Args[0])
+		sb.WriteString("ret ")
+		writeTypedRef(sb, in.Args[0])
 	case OpBr:
-		return "br label %" + in.Blocks[0].Label()
+		sb.WriteString("br label %")
+		writeLabel(sb, in.Blocks[0])
 	case OpCondBr:
-		return fmt.Sprintf("br %s, label %%%s, label %%%s",
-			ref(in.Args[0]), in.Blocks[0].Label(), in.Blocks[1].Label())
+		sb.WriteString("br ")
+		writeTypedRef(sb, in.Args[0])
+		sb.WriteString(", label %")
+		writeLabel(sb, in.Blocks[0])
+		sb.WriteString(", label %")
+		writeLabel(sb, in.Blocks[1])
 	case OpSwitch:
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "switch %s, label %%%s [", ref(in.Args[0]), in.Blocks[0].Label())
+		sb.WriteString("switch ")
+		writeTypedRef(sb, in.Args[0])
+		sb.WriteString(", label %")
+		writeLabel(sb, in.Blocks[0])
+		sb.WriteString(" [")
 		for i, v := range in.SwitchVals {
 			if i > 0 {
 				sb.WriteByte(' ')
 			}
-			fmt.Fprintf(&sb, "%d: label %%%s", v, in.Blocks[i+1].Label())
+			writeInt(sb, v)
+			sb.WriteString(": label %")
+			writeLabel(sb, in.Blocks[i+1])
 		}
 		sb.WriteByte(']')
-		return sb.String()
 	case OpUnreachable:
-		return "unreachable"
-	case OpAlloca:
-		return fmt.Sprintf("%s = alloca %s", in.Ref(), in.AllocaTy)
-	case OpLoad:
-		return fmt.Sprintf("%s = load %s, %s", in.Ref(), in.Ty, ref(in.Args[0]))
+		sb.WriteString("unreachable")
 	case OpStore:
-		return fmt.Sprintf("store %s, %s", ref(in.Args[0]), ref(in.Args[1]))
-	case OpGEP:
-		parts := make([]string, len(in.Args))
-		for i, a := range in.Args {
-			parts[i] = ref(a)
-		}
-		return fmt.Sprintf("%s = getelementptr %s", in.Ref(), strings.Join(parts, ", "))
-	case OpICmp, OpFCmp:
-		return fmt.Sprintf("%s = %s %s %s, %s", in.Ref(), in.Op, in.Pred,
-			ref(in.Args[0]), in.Args[1].Ref())
-	case OpPhi:
-		parts := make([]string, len(in.Args))
-		for i, a := range in.Args {
-			parts[i] = fmt.Sprintf("[ %s, %%%s ]", a.Ref(), in.Blocks[i].Label())
-		}
-		return fmt.Sprintf("%s = phi %s %s", in.Ref(), in.Ty, strings.Join(parts, ", "))
-	case OpSelect:
-		return fmt.Sprintf("%s = select %s, %s, %s", in.Ref(),
-			ref(in.Args[0]), ref(in.Args[1]), ref(in.Args[2]))
+		sb.WriteString("store ")
+		writeTypedRef(sb, in.Args[0])
+		sb.WriteString(", ")
+		writeTypedRef(sb, in.Args[1])
 	case OpCall:
 		name := in.Builtin
 		if in.Callee != nil {
 			name = in.Callee.Name
 		}
-		parts := make([]string, len(in.Args))
-		for i, a := range in.Args {
-			parts[i] = ref(a)
-		}
-		call := fmt.Sprintf("call %s @%s(%s)", in.Ty, name, strings.Join(parts, ", "))
 		if in.HasResult() {
-			return in.Ref() + " = " + call
+			writeRef(sb, in)
+			sb.WriteString(" = ")
 		}
-		return call
-	case OpFNeg, OpFreeze:
-		return fmt.Sprintf("%s = %s %s", in.Ref(), in.Op, ref(in.Args[0]))
+		sb.WriteString("call ")
+		in.Ty.writeTo(sb)
+		sb.WriteString(" @")
+		sb.WriteString(name)
+		sb.WriteByte('(')
+		writeTypedRefs(sb, in.Args)
+		sb.WriteByte(')')
 	default:
-		if in.Op.IsCast() {
-			return fmt.Sprintf("%s = %s %s to %s", in.Ref(), in.Op, ref(in.Args[0]), in.Ty)
-		}
-		if len(in.Args) == 2 {
-			return fmt.Sprintf("%s = %s %s %s, %s", in.Ref(), in.Op, in.Ty,
-				in.Args[0].Ref(), in.Args[1].Ref())
-		}
-		parts := make([]string, len(in.Args))
-		for i, a := range in.Args {
-			parts[i] = ref(a)
-		}
-		return fmt.Sprintf("%s = %s %s", in.Ref(), in.Op, strings.Join(parts, ", "))
+		writeRef(sb, in)
+		sb.WriteString(" = ")
+		in.writeRHS(sb)
 	}
+}
+
+// writeRHS renders what follows "%tN = " for an instruction with a result.
+func (in *Instr) writeRHS(sb *strings.Builder) {
+	switch in.Op {
+	case OpAlloca:
+		sb.WriteString("alloca ")
+		in.AllocaTy.writeTo(sb)
+	case OpLoad:
+		sb.WriteString("load ")
+		in.Ty.writeTo(sb)
+		sb.WriteString(", ")
+		writeTypedRef(sb, in.Args[0])
+	case OpGEP:
+		sb.WriteString("getelementptr ")
+		writeTypedRefs(sb, in.Args)
+	case OpICmp, OpFCmp:
+		sb.WriteString(in.Op.String())
+		sb.WriteByte(' ')
+		sb.WriteString(in.Pred.String())
+		sb.WriteByte(' ')
+		writeTypedRef(sb, in.Args[0])
+		sb.WriteString(", ")
+		writeRef(sb, in.Args[1])
+	case OpPhi:
+		sb.WriteString("phi ")
+		in.Ty.writeTo(sb)
+		sb.WriteByte(' ')
+		for i, a := range in.Args {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			sb.WriteString("[ ")
+			writeRef(sb, a)
+			sb.WriteString(", %")
+			writeLabel(sb, in.Blocks[i])
+			sb.WriteString(" ]")
+		}
+	case OpSelect:
+		sb.WriteString("select ")
+		writeTypedRefs(sb, in.Args[:3])
+	case OpFNeg, OpFreeze:
+		sb.WriteString(in.Op.String())
+		sb.WriteByte(' ')
+		writeTypedRef(sb, in.Args[0])
+	default:
+		sb.WriteString(in.Op.String())
+		sb.WriteByte(' ')
+		switch {
+		case in.Op.IsCast():
+			writeTypedRef(sb, in.Args[0])
+			sb.WriteString(" to ")
+			in.Ty.writeTo(sb)
+		case len(in.Args) == 2:
+			in.Ty.writeTo(sb)
+			sb.WriteByte(' ')
+			writeRef(sb, in.Args[0])
+			sb.WriteString(", ")
+			writeRef(sb, in.Args[1])
+		default:
+			writeTypedRefs(sb, in.Args)
+		}
+	}
+}
+
+// writeTypedRefs renders operands as "type ref" pairs joined by ", ".
+func writeTypedRefs(sb *strings.Builder, vs []Value) {
+	for i, v := range vs {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		writeTypedRef(sb, v)
+	}
+}
+
+// writeTypedRef renders an operand as "type ref", or "<nil>" for a missing
+// one.
+func writeTypedRef(sb *strings.Builder, v Value) {
+	if v == nil {
+		sb.WriteString("<nil>")
+		return
+	}
+	v.Type().writeTo(sb)
+	sb.WriteByte(' ')
+	writeRef(sb, v)
+}
+
+// writeRef renders v's Ref without building an intermediate string for the
+// value kinds the printer meets on every line.
+func writeRef(sb *strings.Builder, v Value) {
+	switch v := v.(type) {
+	case *Instr:
+		sb.WriteString("%t")
+		writeInt(sb, int64(v.ID))
+	case *Const:
+		var buf [32]byte
+		sb.Write(v.appendRef(buf[:0]))
+	case *Param:
+		sb.WriteByte('%')
+		sb.WriteString(v.Name)
+	case *Global:
+		sb.WriteByte('@')
+		sb.WriteString(v.Name)
+	case *Function:
+		sb.WriteByte('@')
+		sb.WriteString(v.Name)
+	default:
+		sb.WriteString(v.Ref())
+	}
+}
+
+func writeLabel(sb *strings.Builder, b *Block) {
+	if b.Name != "" {
+		sb.WriteString(b.Name)
+		return
+	}
+	sb.WriteByte('b')
+	writeInt(sb, int64(b.ID))
+}
+
+func writeInt(sb *strings.Builder, n int64) {
+	var buf [20]byte
+	sb.Write(strconv.AppendInt(buf[:0], n, 10))
 }

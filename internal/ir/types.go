@@ -9,10 +9,7 @@
 // positions counting instruction opcodes").
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // TypeKind discriminates the kinds of IR types.
 type TypeKind int
@@ -168,32 +165,54 @@ func (t *Type) Size() int {
 
 // String renders t in an LLVM-flavoured syntax.
 func (t *Type) String() string {
+	var sb strings.Builder
+	t.writeTo(&sb)
+	return sb.String()
+}
+
+// writeTo renders t into sb; a nil type is "void".
+func (t *Type) writeTo(sb *strings.Builder) {
 	if t == nil {
-		return "void"
+		sb.WriteString("void")
+		return
 	}
 	switch t.Kind {
 	case VoidKind:
-		return "void"
+		sb.WriteString("void")
 	case IntKind:
-		return fmt.Sprintf("i%d", t.Bits)
+		sb.WriteByte('i')
+		writeInt(sb, int64(t.Bits))
 	case FloatKind:
-		return "double"
+		sb.WriteString("double")
 	case PtrKind:
-		return t.Elem.String() + "*"
+		t.Elem.writeTo(sb)
+		sb.WriteByte('*')
 	case ArrayKind:
-		return fmt.Sprintf("[%d x %s]", t.Len, t.Elem)
+		sb.WriteByte('[')
+		writeInt(sb, int64(t.Len))
+		sb.WriteString(" x ")
+		t.Elem.writeTo(sb)
+		sb.WriteByte(']')
 	case StructKind:
-		parts := make([]string, len(t.Fields))
+		sb.WriteByte('{')
 		for i, f := range t.Fields {
-			parts[i] = f.String()
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			f.writeTo(sb)
 		}
-		return "{" + strings.Join(parts, ", ") + "}"
+		sb.WriteByte('}')
 	case FuncKind:
-		parts := make([]string, len(t.Params))
+		t.Ret.writeTo(sb)
+		sb.WriteString(" (")
 		for i, p := range t.Params {
-			parts[i] = p.String()
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			p.writeTo(sb)
 		}
-		return fmt.Sprintf("%s (%s)", t.Ret, strings.Join(parts, ", "))
+		sb.WriteByte(')')
+	default:
+		sb.WriteByte('?')
 	}
-	return "?"
 }

@@ -1,8 +1,8 @@
 package ir
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 )
 
 // Value is anything that may appear as an instruction operand: constants,
@@ -66,16 +66,22 @@ func (c *Const) Type() *Type { return c.Ty }
 
 // Ref renders the constant's payload.
 func (c *Const) Ref() string {
+	var buf [32]byte
+	return string(c.appendRef(buf[:0]))
+}
+
+// appendRef appends the constant's payload to dst.
+func (c *Const) appendRef(dst []byte) []byte {
 	switch {
 	case c.Ty.IsFloat():
 		if c.F == math.Trunc(c.F) && math.Abs(c.F) < 1e15 {
-			return fmt.Sprintf("%.1f", c.F)
+			return strconv.AppendFloat(dst, c.F, 'f', 1, 64)
 		}
-		return fmt.Sprintf("%g", c.F)
+		return strconv.AppendFloat(dst, c.F, 'g', -1, 64)
 	case c.Ty.IsPtr():
-		return "null"
+		return append(dst, "null"...)
 	default:
-		return fmt.Sprintf("%d", c.I)
+		return strconv.AppendInt(dst, c.I, 10)
 	}
 }
 

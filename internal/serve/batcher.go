@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/ml"
 	"repro/internal/obs"
@@ -34,10 +33,11 @@ type predictCall struct {
 type modelBox struct{ m ml.Model }
 
 // batcher coalesces concurrent predict calls for one model into batched
-// ml.PredictBatch passes: the first arrival opens a window, every call
-// landing within it (up to maxBatch) shares one GEMM pass. A lone request
-// still pays at most window of extra latency; under load the window never
-// empties and batches fill to maxBatch back-to-back.
+// ml.PredictBatch passes. A batch closes as soon as the queue is empty: the
+// first arrival takes every call already buffered behind it (up to maxBatch)
+// and they share one GEMM pass at once. A lone request waits for nothing;
+// under load, calls pile up in the queue while a flush runs, so batches grow
+// with the arrival rate times the predict time, up to maxBatch.
 //
 // The model is held behind an atomic box so a snapshot push can hot-swap it
 // while batches are in flight: each flush pins one model for its whole
@@ -47,7 +47,6 @@ type batcher struct {
 	model    atomic.Value // modelBox
 	in       chan *predictCall
 	maxBatch int
-	window   time.Duration
 
 	// closeMu holds every in-flight enqueue open against close: enqueue
 	// sends under the read lock after checking closed, and close sets
@@ -64,12 +63,11 @@ type batcher struct {
 	swaps     *obs.Counter
 }
 
-func newBatcher(name string, model ml.Model, maxBatch int, window time.Duration) *batcher {
+func newBatcher(name string, model ml.Model, maxBatch int) *batcher {
 	b := &batcher{
 		name:      name,
 		in:        make(chan *predictCall, maxBatch),
 		maxBatch:  maxBatch,
-		window:    window,
 		quit:      make(chan struct{}),
 		stopped:   make(chan struct{}),
 		batches:   obs.GetCounter("serve.batches"),
@@ -161,24 +159,20 @@ func (b *batcher) run() {
 	}
 }
 
-// collect fills one batch starting from first — up to maxBatch calls or the
-// window deadline, whichever comes first — and flushes it. A closing
-// batcher cuts the window short so drain never waits out idle windows.
+// collect fills one batch starting from first with every call already
+// queued behind it, up to maxBatch, and flushes it. It never blocks: calls
+// arriving during the flush wait in the queue for the next collect.
 func (b *batcher) collect(first *predictCall) {
 	batch := append(make([]*predictCall, 0, b.maxBatch), first)
-	timer := time.NewTimer(b.window)
 fill:
 	for len(batch) < b.maxBatch {
 		select {
 		case call := <-b.in:
 			batch = append(batch, call)
-		case <-timer.C:
-			break fill
-		case <-b.quit:
+		default:
 			break fill
 		}
 	}
-	timer.Stop()
 	b.flush(batch)
 }
 

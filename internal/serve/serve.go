@@ -39,11 +39,10 @@ type Config struct {
 	// MaxInFlight bounds admitted requests; beyond it the server answers
 	// 429 instead of queueing without limit.
 	MaxInFlight int
-	// MaxBatch and BatchWindow shape the micro-batching queue: a batch
-	// closes when it reaches MaxBatch vectors or BatchWindow after its
-	// first arrival, whichever comes first.
-	MaxBatch    int
-	BatchWindow time.Duration
+	// MaxBatch bounds the micro-batching queue and so the GEMM size of one
+	// predict pass: a batch takes every call queued when it starts, up to
+	// MaxBatch vectors, and closes when the queue is empty.
+	MaxBatch int
 	// RequestTimeout is the per-request deadline; work still pending when
 	// it expires answers 504.
 	RequestTimeout time.Duration
@@ -56,7 +55,6 @@ type Config struct {
 const (
 	defaultMaxInFlight    = 128
 	defaultMaxBatch       = 32
-	defaultBatchWindow    = 2 * time.Millisecond
 	defaultRequestTimeout = 10 * time.Second
 	maxBodyBytes          = 1 << 20
 	// maxSnapshotBytes bounds a pushed model snapshot; trained forests are
@@ -153,9 +151,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = defaultMaxBatch
 	}
-	if cfg.BatchWindow <= 0 {
-		cfg.BatchWindow = defaultBatchWindow
-	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = defaultRequestTimeout
 	}
@@ -187,7 +182,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: model %q is nil", name)
 		}
 		s.names = append(s.names, name)
-		s.batchers[name] = newBatcher(name, m, cfg.MaxBatch, cfg.BatchWindow)
+		s.batchers[name] = newBatcher(name, m, cfg.MaxBatch)
 		s.versions[name] = 1
 		if lin, ok := cfg.Lineage[name]; ok {
 			s.lineage[name] = lin
@@ -365,7 +360,7 @@ func (s *Server) handleModelPut(w http.ResponseWriter, r *http.Request) error {
 	if b, ok := s.batchers[name]; ok {
 		b.swap(m)
 	} else {
-		s.batchers[name] = newBatcher(name, m, s.cfg.MaxBatch, s.cfg.BatchWindow)
+		s.batchers[name] = newBatcher(name, m, s.cfg.MaxBatch)
 		s.names = append(s.names, name)
 		sort.Strings(s.names)
 	}

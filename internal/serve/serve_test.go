@@ -83,9 +83,8 @@ func postJSON(t *testing.T, url string, req any) (*http.Response, []byte) {
 
 func TestClassifyBatchesConcurrentRequests(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{
-		Models:      map[string]ml.Model{"stub": &stubModel{}},
-		BatchWindow: 50 * time.Millisecond,
-		MaxBatch:    16,
+		Models:   map[string]ml.Model{"stub": &stubModel{delay: 50 * time.Millisecond}},
+		MaxBatch: 16,
 	})
 
 	const n = 8
@@ -123,8 +122,9 @@ func TestClassifyBatchesConcurrentRequests(t *testing.T) {
 			maxBatch = sizes[i]
 		}
 	}
-	// With a 50ms window and 8 requests fired together, at least one GEMM
-	// pass must have carried more than one request.
+	// With 8 requests fired together, the first flush holds the batcher
+	// for 50ms while the rest queue, so at least one predict pass must have
+	// carried more than one request.
 	if maxBatch < 2 {
 		t.Errorf("no coalescing observed: max batch size %d", maxBatch)
 	}
@@ -135,7 +135,6 @@ func TestOverloadSheds429ThenRecovers(t *testing.T) {
 		Models:      map[string]ml.Model{"stub": &stubModel{delay: 200 * time.Millisecond}},
 		MaxInFlight: 2,
 		MaxBatch:    1,
-		BatchWindow: time.Millisecond,
 	})
 
 	const n = 10
@@ -183,9 +182,8 @@ func TestOverloadSheds429ThenRecovers(t *testing.T) {
 
 func TestGracefulDrainCompletesInFlight(t *testing.T) {
 	s, err := serve.New(serve.Config{
-		Models:      map[string]ml.Model{"stub": &stubModel{delay: 300 * time.Millisecond}},
-		MaxBatch:    1,
-		BatchWindow: time.Millisecond,
+		Models:   map[string]ml.Model{"stub": &stubModel{delay: 300 * time.Millisecond}},
+		MaxBatch: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +236,6 @@ func TestRequestTimeoutAnswers504(t *testing.T) {
 		Models:         map[string]ml.Model{"stub": &stubModel{delay: 2 * time.Second}},
 		RequestTimeout: 100 * time.Millisecond,
 		MaxBatch:       1,
-		BatchWindow:    time.Millisecond,
 	})
 	resp, body := postJSON(t, ts.URL+"/v1/classify", serve.ClassifyRequest{Histogram: []float64{1}})
 	if resp.StatusCode != http.StatusGatewayTimeout {
@@ -248,9 +245,8 @@ func TestRequestTimeoutAnswers504(t *testing.T) {
 
 func TestPanicIsolation(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{
-		Models:      map[string]ml.Model{"bad": &stubModel{panic: true}, "good": &stubModel{}},
-		MaxBatch:    1,
-		BatchWindow: time.Millisecond,
+		Models:   map[string]ml.Model{"bad": &stubModel{panic: true}, "good": &stubModel{}},
+		MaxBatch: 1,
 	})
 	resp, body := postJSON(t, ts.URL+"/v1/classify",
 		serve.ClassifyRequest{Histogram: []float64{1}, Models: []string{"bad"}})
@@ -446,8 +442,7 @@ func TestConcurrentClassifyRace(t *testing.T) {
 	}
 
 	_, ts := newTestServer(t, serve.Config{
-		Models:      map[string]ml.Model{"lr": lr},
-		BatchWindow: time.Millisecond,
+		Models: map[string]ml.Model{"lr": lr},
 	})
 
 	const workers, perWorker = 8, 25
@@ -585,7 +580,6 @@ func TestShutdownUnderLoadNoPanic(t *testing.T) {
 	s, err := serve.New(serve.Config{
 		Models:      map[string]ml.Model{"stub": &stubModel{delay: 20 * time.Millisecond}},
 		MaxBatch:    4,
-		BatchWindow: time.Millisecond,
 		MaxInFlight: 64,
 	})
 	if err != nil {
@@ -684,8 +678,7 @@ func TestModelHotSwap(t *testing.T) {
 	}
 
 	_, ts := newTestServer(t, serve.Config{
-		Models:      map[string]ml.Model{"lr": modelA},
-		BatchWindow: time.Millisecond,
+		Models: map[string]ml.Model{"lr": modelA},
 	})
 
 	classify := func() int {
