@@ -40,13 +40,16 @@
 #                module, so `go test ./...` at the root never compiles it);
 #                perfbench is the repository's one benchmark ledger, see
 #                perfbench/README.md
+#   make results-check  re-run the command behind each committed figure
+#                that has a run manifest in results/, and require the text
+#                to match byte for byte and the manifest at `report -tol 0`
 #   make check   everything CI runs: build + test + race + cross +
 #                serve-smoke + gateway-smoke + coevo-smoke + fuzz-smoke +
-#                perfbench-check
+#                perfbench-check + results-check
 
 GO ?= go
 
-.PHONY: build test race bench-figures perfbench-check cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke fuzz check
+.PHONY: build test race bench-figures perfbench-check cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke fuzz results-check check
 
 build:
 	$(GO) build ./...
@@ -172,4 +175,17 @@ fuzz:
 perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
-check: build test race cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke perfbench-check
+# Committed figures regenerate: one line per results/ file with a manifest,
+# re-running the command that wrote it (see results/README.md).
+results-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/arena" ./cmd/arena || exit 1; \
+	check() { name=$$1; shift; \
+		"$$tmp/arena" "$$@" -out "$$tmp/$$name.json" > "$$tmp/$$name.txt" \
+		&& diff -u "results/$$name.txt" "$$tmp/$$name.txt" \
+		&& "$$tmp/arena" report -tol 0 "results/$$name.json" "$$tmp/$$name.json" > /dev/null \
+		|| { echo "results-check: results/$$name.txt does not regenerate" ; exit 1 ; } ; } ; \
+	check speedup speedup -seed 1; \
+	echo "results-check: committed figures regenerate"
+
+check: build test race cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke perfbench-check results-check

@@ -19,7 +19,9 @@
 // unconditional frame[slot] access — the dispatch loop never branches on
 // operand kind. Branch targets are pre-resolved instruction indices, and
 // every CFG edge into a block with phis jumps through an out-of-line edge
-// stub holding that edge's scheduled phi moves (see compile.go).
+// stub holding that edge's scheduled phi moves (see compile.go). A switch
+// with enough cases over a compact value range dispatches through a dense
+// jump table instead of scanning its cases (see denseSwitches).
 //
 // # Step accounting
 //
@@ -48,6 +50,7 @@ const (
 	opJmp     // pc = dst
 	opCondBr  // pc = regs[a].i != 0 ? dst : b
 	opSwitch  // linear scan of swVals[b:b+c]; match i -> swPCs[b+i], else dst
+	opSwitchT // dense table tabs[b]: pc = pcs[v-lo] if in range, else dst
 	opRet     // return regs[a]
 	opRetVoid // return zero val
 	opStepN   // steps += c (the phi charge of one edge stub)
@@ -206,9 +209,17 @@ type funcCode struct {
 	extra  []int32  // call-argument, select and slow-GEP slot pool
 	swVals []int64  // switch case values
 	swPCs  []int32  // switch case targets, parallel to swVals
+	tabs   []swTab  // jump tables of the switches lowered to opSwitchT
 	ipool  []int64  // immediates too wide for an inst field
 	msgs   []string // trap messages
 	geps   []gepRef // GEPs interpreted by opGEPSlow
+}
+
+// swTab is the jump table of one opSwitchT: pcs[v-lo] is the target for
+// tag v, with the default target in every slot no case names.
+type swTab struct {
+	lo  int64
+	pcs []int32
 }
 
 // Program is a compiled module, reusable across runs: Compile once, then

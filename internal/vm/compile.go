@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/ir"
@@ -162,6 +163,7 @@ func compileFunc(fl *ir.Flat, fi int32, defIdx []int32, gaddr []int64, noArgs bo
 	}
 	c.resolveEdges()
 	c.patch()
+	denseSwitches(c.fc)
 
 	c.fc.frameSize = c.fc.constBase + len(c.fc.consts)
 	if c.fc.frameSize > math.MaxInt32/2 {
@@ -794,5 +796,50 @@ func (c *fnCompiler) patch() {
 		default:
 			c.fc.swPCs[fx.swIdx] = target
 		}
+	}
+}
+
+// A switch becomes a jump table when it has at least minTableCases cases
+// and its largest case value exceeds its smallest by at most 8 per case
+// plus tableSlack. The per-case factor admits fla's dispatch ids, which
+// stride by 7; the slack admits small switches with a few holes.
+const (
+	minTableCases = 4
+	tableSlack    = 16
+)
+
+// denseSwitches rewrites each opSwitch of a finished, patched function
+// whose case values are dense enough into an opSwitchT over a jump table.
+// A table lookup is one bounds check whatever the case count, where the
+// scan costs one compare per case before the match; flattened functions
+// take a switch on every block transition. Every slot starts at the
+// default target, and when a value is listed twice the first case wins,
+// as it does in the scan and in the interpreter. Small or sparse switches
+// keep the scan.
+func denseSwitches(fc *funcCode) {
+	for pc := range fc.code {
+		in := &fc.code[pc]
+		if in.op != opSwitch || in.c < minTableCases {
+			continue
+		}
+		vals := fc.swVals[in.b : in.b+in.c]
+		targets := fc.swPCs[in.b : in.b+in.c]
+		lo, hi := slices.Min(vals), slices.Max(vals)
+		// The unsigned difference is exact for any lo <= hi, so a span
+		// past MaxInt64 (say MinInt64 and MaxInt64 cases) compares as the
+		// huge value it is instead of wrapping negative.
+		if uint64(hi)-uint64(lo) > uint64(8*len(vals)+tableSlack) {
+			continue
+		}
+		pcs := make([]int32, hi-lo+1)
+		for k := range pcs {
+			pcs[k] = in.dst
+		}
+		for k := len(vals) - 1; k >= 0; k-- {
+			pcs[vals[k]-lo] = targets[k]
+		}
+		in.op = opSwitchT
+		in.b = int32(len(fc.tabs))
+		fc.tabs = append(fc.tabs, swTab{lo: lo, pcs: pcs})
 	}
 }

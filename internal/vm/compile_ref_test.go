@@ -8,8 +8,9 @@ import (
 )
 
 // This file preserves the original pointer-walking bytecode compiler,
-// verbatim except for ref* renames and the gepRef residue (which carries the
-// same two facts gepSlow used to read through the *ir.Instr). It exists only
+// verbatim except for ref* renames, the gepRef residue (which carries the
+// same two facts gepSlow used to read through the *ir.Instr) and the shared
+// denseSwitches pass at the end of refCompile. It exists only
 // as the equivalence oracle: TestCompileFlatEquivalence pins that the flat
 // compiler in compile.go emits bit-identical programs.
 
@@ -59,6 +60,13 @@ func refCompile(m *ir.Module) (*Program, error) {
 				return nil, err
 			}
 			p.entry = fc
+		}
+	}
+	// Switch-table lowering runs on finished bytecode, so the oracle
+	// shares it rather than duplicating it.
+	for _, fc := range append(p.funcs, p.entry) {
+		if fc != nil {
+			denseSwitches(fc)
 		}
 	}
 	return p, nil

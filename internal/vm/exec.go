@@ -108,10 +108,18 @@ func (m *machine) alloc(size int) (int64, error) {
 	return addr, nil
 }
 
+// checkAddr traps unless [addr, addr+size) lies in the allocated arena. It
+// runs on every load and store, so it stays small enough to inline; the
+// trap message is built out of line in addrTrap.
 func (m *machine) checkAddr(addr int64, size int) {
 	if addr < 16 || addr+int64(size) > int64(m.sp) || addr+int64(size) > int64(len(m.mem)) {
-		panic(errTrap{fmt.Sprintf("invalid memory access at %d (size %d, break %d)", addr, size, m.sp)})
+		m.addrTrap(addr, size)
 	}
+}
+
+//go:noinline
+func (m *machine) addrTrap(addr int64, size int) {
+	panic(errTrap{fmt.Sprintf("invalid memory access at %d (size %d, break %d)", addr, size, m.sp)})
 }
 
 func (m *machine) storeScalar(addr int64, t *ir.Type, v val) {
@@ -230,6 +238,14 @@ func (m *machine) exec(fc *funcCode, base int) (val, error) {
 					pc = int(fc.swPCs[k])
 					break
 				}
+			}
+		case opSwitchT:
+			t := &fc.tabs[in.b]
+			pc = int(in.dst)
+			// v-lo wraps for tags far outside the table, and the unsigned
+			// compare rejects those together with every tag below lo.
+			if k := uint64(rs[in.a].i - t.lo); k < uint64(len(t.pcs)) {
+				pc = int(t.pcs[k])
 			}
 		case opRet:
 			return rs[in.a], nil

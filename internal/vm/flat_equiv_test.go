@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ir"
@@ -60,6 +61,7 @@ func funcCodesIdentical(t *testing.T, label string, a, b *funcCode) {
 		"extra":  {len(a.extra), len(b.extra)},
 		"swVals": {len(a.swVals), len(b.swVals)},
 		"swPCs":  {len(a.swPCs), len(b.swPCs)},
+		"tabs":   {len(a.tabs), len(b.tabs)},
 		"ipool":  {len(a.ipool), len(b.ipool)},
 		"msgs":   {len(a.msgs), len(b.msgs)},
 		"geps":   {len(a.geps), len(b.geps)},
@@ -78,6 +80,12 @@ func funcCodesIdentical(t *testing.T, label string, a, b *funcCode) {
 	for i := range a.swVals {
 		if a.swVals[i] != b.swVals[i] || a.swPCs[i] != b.swPCs[i] {
 			t.Errorf("%s: @%s: switch entry %d differs", label, a.name, i)
+			return
+		}
+	}
+	for i := range a.tabs {
+		if a.tabs[i].lo != b.tabs[i].lo || !slices.Equal(a.tabs[i].pcs, b.tabs[i].pcs) {
+			t.Errorf("%s: @%s: switch table %d differs", label, a.name, i)
 			return
 		}
 	}

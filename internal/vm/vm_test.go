@@ -2,6 +2,7 @@ package vm_test
 
 import (
 	"math/rand"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -109,6 +110,54 @@ func TestVMBudgetTrapParity(t *testing.T) {
 			}
 			checkSame(t, m, interp.Options{MaxSteps: budget}, "budget seed "+itoa(seed))
 		}
+	}
+}
+
+// addrTrapMsg is the interpreter's out-of-arena trap message.
+var addrTrapMsg = regexp.MustCompile(`^invalid memory access at -?\d+ \(size \d+, break \d+\)$`)
+
+// TestVMAddrTrapParity drives each kind of out-of-arena access and requires
+// the VM to trap with exactly the interpreter's message.
+func TestVMAddrTrapParity(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body func(bd *ir.Builder)
+	}{
+		{"load past break", func(bd *ir.Builder) {
+			p := bd.Alloca(ir.I64)
+			bd.Load(bd.GEP(p, ir.ConstInt(ir.I64, 1000)))
+		}},
+		{"store past break", func(bd *ir.Builder) {
+			p := bd.Alloca(ir.I64)
+			bd.Store(ir.ConstInt(ir.I64, 7), bd.GEP(p, ir.ConstInt(ir.I64, 1)))
+		}},
+		{"null dereference", func(bd *ir.Builder) {
+			bd.Load(ir.ConstNull(ir.PtrTo(ir.I64)))
+		}},
+		{"print_str past break", func(bd *ir.Builder) {
+			// Eight 0xff bytes and no terminator: the string runs into the
+			// break.
+			p := bd.Alloca(ir.I64)
+			bd.Store(ir.ConstInt(ir.I64, -1), p)
+			bd.CallBuiltin("print_str", ir.Void, bd.Cast(ir.OpBitcast, p, ir.PtrTo(ir.I8)))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := ir.NewModule("addr")
+			f := m.Add(ir.NewFunction("main", ir.I64, nil, nil))
+			bd := ir.NewBuilder(f.NewBlock("entry"))
+			tc.body(bd)
+			bd.Ret(ir.ConstInt(ir.I64, 0))
+			if err := m.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			_, werr := interp.Run(m, interp.Options{})
+			_, gerr := vm.Run(m, interp.Options{})
+			want, got := normTrap(werr), normTrap(gerr)
+			if !addrTrapMsg.MatchString(want) || got != want {
+				t.Fatalf("traps differ: interp %v, vm %v", werr, gerr)
+			}
+		})
 	}
 }
 
