@@ -186,6 +186,10 @@ results-check:
 		&& "$$tmp/arena" report -tol 0 "results/$$name.json" "$$tmp/$$name.json" > /dev/null \
 		|| { echo "results-check: results/$$name.txt does not regenerate" ; exit 1 ; } ; } ; \
 	check speedup speedup -seed 1; \
+	check game1_rs game1 -classes 12 -per 20 -rounds 2 -evader rs; \
+	check game1_mcmc game1 -classes 12 -per 20 -rounds 2 -evader mcmc; \
+	check game1_drlsg game1 -classes 12 -per 20 -rounds 2 -evader drlsg; \
+	check game2_rs game2 -classes 12 -per 20 -rounds 2 -evader rs; \
 	echo "results-check: committed figures regenerate"
 
 check: build test race cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke perfbench-check results-check
