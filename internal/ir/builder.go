@@ -18,10 +18,42 @@ func (bd *Builder) SetBlock(b *Block) { bd.Cur = b }
 
 func (bd *Builder) emit(in *Instr) *Instr { return bd.Cur.Append(in) }
 
+// The fixed-arity constructors allocate an instruction together with its
+// operand array, one allocation instead of two (branches add their block
+// array to the same allocation). Args spans the whole array, so
+// len(Args) == cap(Args) as for a slice literal.
+
+func with1(in Instr, a Value) *Instr {
+	x := &struct {
+		Instr
+		ops [1]Value
+	}{in, [1]Value{a}}
+	x.Args = x.ops[:]
+	return &x.Instr
+}
+
+func with2(in Instr, a, b Value) *Instr {
+	x := &struct {
+		Instr
+		ops [2]Value
+	}{in, [2]Value{a, b}}
+	x.Args = x.ops[:]
+	return &x.Instr
+}
+
+func with3(in Instr, a, b, c Value) *Instr {
+	x := &struct {
+		Instr
+		ops [3]Value
+	}{in, [3]Value{a, b, c}}
+	x.Args = x.ops[:]
+	return &x.Instr
+}
+
 // Binary emits a two-operand arithmetic/bitwise instruction. The result
 // type is the type of the left operand.
 func (bd *Builder) Binary(op Opcode, lhs, rhs Value) *Instr {
-	return bd.emit(&Instr{Op: op, Ty: lhs.Type(), Args: []Value{lhs, rhs}})
+	return bd.emit(with2(Instr{Op: op, Ty: lhs.Type()}, lhs, rhs))
 }
 
 // Add emits an integer add.
@@ -44,17 +76,17 @@ func (bd *Builder) Xor(a, b Value) *Instr { return bd.Binary(OpXor, a, b) }
 
 // FNeg emits a floating-point negation.
 func (bd *Builder) FNeg(v Value) *Instr {
-	return bd.emit(&Instr{Op: OpFNeg, Ty: v.Type(), Args: []Value{v}})
+	return bd.emit(with1(Instr{Op: OpFNeg, Ty: v.Type()}, v))
 }
 
 // ICmp emits an integer comparison producing an i1.
 func (bd *Builder) ICmp(pred CmpPred, a, b Value) *Instr {
-	return bd.emit(&Instr{Op: OpICmp, Ty: I1, Pred: pred, Args: []Value{a, b}})
+	return bd.emit(with2(Instr{Op: OpICmp, Ty: I1, Pred: pred}, a, b))
 }
 
 // FCmp emits a floating-point comparison producing an i1.
 func (bd *Builder) FCmp(pred CmpPred, a, b Value) *Instr {
-	return bd.emit(&Instr{Op: OpFCmp, Ty: I1, Pred: pred, Args: []Value{a, b}})
+	return bd.emit(with2(Instr{Op: OpFCmp, Ty: I1, Pred: pred}, a, b))
 }
 
 // Alloca emits a stack allocation of elem, producing an elem*.
@@ -68,12 +100,12 @@ func (bd *Builder) Load(ptr Value) *Instr {
 	if et == nil {
 		panic(fmt.Sprintf("ir: load from non-pointer %s", ptr.Type()))
 	}
-	return bd.emit(&Instr{Op: OpLoad, Ty: et, Args: []Value{ptr}})
+	return bd.emit(with1(Instr{Op: OpLoad, Ty: et}, ptr))
 }
 
 // Store emits a store of val through ptr.
 func (bd *Builder) Store(val, ptr Value) *Instr {
-	return bd.emit(&Instr{Op: OpStore, Ty: Void, Args: []Value{val, ptr}})
+	return bd.emit(with2(Instr{Op: OpStore, Ty: Void}, val, ptr))
 }
 
 // GEP emits an address computation. Semantics follow LLVM: the first index
@@ -100,18 +132,24 @@ func (bd *Builder) GEP(base Value, idxs ...Value) *Instr {
 			panic(fmt.Sprintf("ir: gep steps into non-aggregate %s", elem))
 		}
 	}
-	args := append([]Value{base}, idxs...)
-	return bd.emit(&Instr{Op: OpGEP, Ty: PtrTo(elem), Args: args})
+	in := Instr{Op: OpGEP, Ty: PtrTo(elem)}
+	switch len(idxs) {
+	case 1:
+		return bd.emit(with2(in, base, idxs[0]))
+	case 2:
+		return bd.emit(with3(in, base, idxs[0], idxs[1]))
+	}
+	return bd.emit(&Instr{Op: OpGEP, Ty: in.Ty, Args: append([]Value{base}, idxs...)})
 }
 
 // Cast emits a conversion of v to type to using opcode op.
 func (bd *Builder) Cast(op Opcode, v Value, to *Type) *Instr {
-	return bd.emit(&Instr{Op: op, Ty: to, Args: []Value{v}})
+	return bd.emit(with1(Instr{Op: op, Ty: to}, v))
 }
 
 // Select emits cond ? a : b.
 func (bd *Builder) Select(cond, a, b Value) *Instr {
-	return bd.emit(&Instr{Op: OpSelect, Ty: a.Type(), Args: []Value{cond, a, b}})
+	return bd.emit(with3(Instr{Op: OpSelect, Ty: a.Type()}, cond, a, b))
 }
 
 // Phi emits an empty phi of type ty at the head of the current block;
@@ -136,12 +174,23 @@ func (bd *Builder) CallBuiltin(name string, ret *Type, args ...Value) *Instr {
 
 // Br emits an unconditional branch to target.
 func (bd *Builder) Br(target *Block) *Instr {
-	return bd.emit(&Instr{Op: OpBr, Ty: Void, Blocks: []*Block{target}})
+	x := &struct {
+		Instr
+		blks [1]*Block
+	}{Instr{Op: OpBr, Ty: Void}, [1]*Block{target}}
+	x.Blocks = x.blks[:]
+	return bd.emit(&x.Instr)
 }
 
 // CondBr emits a conditional branch on cond.
 func (bd *Builder) CondBr(cond Value, then, els *Block) *Instr {
-	return bd.emit(&Instr{Op: OpCondBr, Ty: Void, Args: []Value{cond}, Blocks: []*Block{then, els}})
+	x := &struct {
+		Instr
+		ops  [1]Value
+		blks [2]*Block
+	}{Instr{Op: OpCondBr, Ty: Void}, [1]Value{cond}, [2]*Block{then, els}}
+	x.Args, x.Blocks = x.ops[:], x.blks[:]
+	return bd.emit(&x.Instr)
 }
 
 // Switch emits a switch on v with the given default and cases.
@@ -152,11 +201,10 @@ func (bd *Builder) Switch(v Value, def *Block, vals []int64, dests []*Block) *In
 
 // Ret emits a return; v may be nil for void functions.
 func (bd *Builder) Ret(v Value) *Instr {
-	in := &Instr{Op: OpRet, Ty: Void}
-	if v != nil {
-		in.Args = []Value{v}
+	if v == nil {
+		return bd.emit(&Instr{Op: OpRet, Ty: Void})
 	}
-	return bd.emit(in)
+	return bd.emit(with1(Instr{Op: OpRet, Ty: Void}, v))
 }
 
 // Unreachable emits an unreachable terminator.

@@ -409,6 +409,7 @@ func TestCompileErrors(t *testing.T) {
 
 func TestPrintRoundTrip(t *testing.T) {
 	src := `
+	int fact(int n);
 	int g = 3;
 	int fact(int n) {
 		if (n <= 1) return 1;

@@ -71,6 +71,10 @@ func (p *printer) decl(d Decl) {
 			}
 			params[i] = s
 		}
+		if x.Body == nil {
+			p.line("%s %s(%s);", p.typeStr(x.Ret), x.Name, strings.Join(params, ", "))
+			return
+		}
 		p.line("%s %s(%s) {", p.typeStr(x.Ret), x.Name, strings.Join(params, ", "))
 		p.indent++
 		for _, s := range x.Body.List {

@@ -67,6 +67,10 @@ type Population struct {
 	origHist embed.Vector
 	origView *ir.Flat
 	obj      Objective
+
+	// inherited counts the candidates replayed with a non-empty verdict
+	// prefix, so tests can tell that the moves which inherit did.
+	inherited int
 }
 
 // Per-generation search budgets. One Evolve call costs at most
@@ -79,11 +83,11 @@ const (
 	rsMinSeq        = 5
 )
 
-// FlatView compiles a snapshot of f and returns its immutable flat IR view
-// (the input Objective consumes). The AST is cloned first, so f is never
-// mutated and stays replayable.
+// FlatView compiles f and returns its immutable flat IR view (the input
+// Objective consumes). Compiling leaves f untouched, so it stays shareable
+// and replayable.
 func FlatView(f *minic.File) (*ir.Flat, error) {
-	m, err := minic.Compile(cloneFile(f), "member")
+	m, err := minic.Compile(f, "member")
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +131,7 @@ func NewPopulation(f *minic.File, strategy string, size int, obj Objective, rng 
 		default:
 			// mcmc chains and drlsg searchers start at the original program.
 		}
-		m.tip = p.fromOrig(m.Seq)
+		m.tip = p.fromOrig(m.Seq, nil)
 		m.File = m.tip.file
 		m.Score, m.Flat = p.score(m.File, m.tip.flat)
 		p.Members = append(p.Members, m)
@@ -176,9 +180,13 @@ func (p *Population) score(f *minic.File, fl *ir.Flat) (float64, *ir.Flat) {
 
 // fromOrig replays seq from the original program: the move for candidates
 // that do not extend a member's sequence (rs restarts, mcmc drops, ga
-// children).
-func (p *Population) fromOrig(seq []Step) state {
-	return replay(state{file: p.orig}, seq)
+// children). known is the verdict prefix the candidate inherits from the
+// member its leading steps came from (nil when it inherits none).
+func (p *Population) fromOrig(seq []Step, known []bool) state {
+	if len(known) > 0 {
+		p.inherited++
+	}
+	return replay(state{file: p.orig}, seq, known)
 }
 
 // randSeq draws a fresh random sequence the way the batch rs strategy does:
@@ -232,7 +240,7 @@ func (p *Population) Evolve(rng *rand.Rand) {
 		for i := range p.Members {
 			m := &p.Members[i]
 			seq := p.randSeq(names, rng)
-			st := p.fromOrig(seq)
+			st := p.fromOrig(seq, nil)
 			if s, fl := p.score(st.file, st.flat); s > m.Score {
 				m.Seq, m.tip, m.File, m.Score, m.Flat = seq, st, st.file, s, fl
 			}
@@ -252,7 +260,8 @@ func (p *Population) Evolve(rng *rand.Rand) {
 
 // mcmcSteps advances one Metropolis chain mcmcStepsPerGen steps. An
 // add-step move resumes from the chain's tip; a drop-step move changes the
-// middle of the sequence and replays it from the original program.
+// middle of the sequence and replays it from the original program,
+// inheriting the verdicts of the steps before the dropped one.
 func (p *Population) mcmcSteps(m *Member, names []string, rng *rand.Rand) {
 	for s := 0; s < mcmcStepsPerGen; s++ {
 		var cand []Step
@@ -260,10 +269,10 @@ func (p *Population) mcmcSteps(m *Member, names []string, rng *rand.Rand) {
 		if len(m.Seq) > 3 && rng.Float64() < 0.25 {
 			j := rng.Intn(len(m.Seq))
 			cand = append(append([]Step(nil), m.Seq[:j]...), m.Seq[j+1:]...)
-			st = p.fromOrig(cand)
+			st = p.fromOrig(cand, m.tip.ok[:j])
 		} else {
 			cand = append(append([]Step(nil), m.Seq...), Step{names[rng.Intn(len(names))], rng.Int63()})
-			st = replay(m.tip, cand[len(cand)-1:])
+			st = replay(m.tip, cand[len(cand)-1:], nil)
 		}
 		sc, cfl := p.score(st.file, st.flat)
 		if math.IsInf(sc, -1) {
@@ -289,7 +298,7 @@ func (p *Population) drlsgRound(m *Member, names []string, rng *rand.Rand) {
 	var top *cand
 	for w := 0; w < drlsgWidth; w++ {
 		c := append(append([]Step(nil), m.Seq...), Step{names[rng.Intn(len(names))], rng.Int63()})
-		st := replay(m.tip, c[len(c)-1:])
+		st := replay(m.tip, c[len(c)-1:], nil)
 		s, fl := p.score(st.file, st.flat)
 		if math.IsInf(s, -1) {
 			continue
@@ -311,18 +320,23 @@ func (p *Population) drlsgRound(m *Member, names []string, rng *rand.Rand) {
 
 // gaGeneration runs one generation of the genetic strategy over the whole
 // member set: elitism, tournament selection, one-point crossover, mutation.
+// A child inherits the step verdicts of the parent its leading steps come
+// from, up to the crossover cut and the mutated index.
 func (p *Population) gaGeneration(names []string, rng *rand.Rand) {
 	n := len(p.Members)
 	if n == 1 {
 		// A lone genome cannot cross over; mutate it hill-climbing style.
 		m := &p.Members[0]
 		cand := append([]Step(nil), m.Seq...)
+		var known []bool
 		if len(cand) == 0 {
 			cand = p.randSeq(names, rng)
 		} else {
-			cand[rng.Intn(len(cand))] = Step{names[rng.Intn(len(names))], rng.Int63()}
+			k := rng.Intn(len(cand))
+			cand[k] = Step{names[rng.Intn(len(names))], rng.Int63()}
+			known = m.tip.ok[:k]
 		}
-		st := p.fromOrig(cand)
+		st := p.fromOrig(cand, known)
 		if s, fl := p.score(st.file, st.flat); s > m.Score {
 			m.Seq, m.tip, m.File, m.Score, m.Flat = cand, st, st.file, s, fl
 		}
@@ -338,14 +352,20 @@ func (p *Population) gaGeneration(names []string, rng *rand.Rand) {
 	next := make([]Member, 0, n)
 	next = append(next, *p.Best())
 	for len(next) < n {
-		pa, pb := p.Members[tournament()].Seq, p.Members[tournament()].Seq
-		child := crossover(pa, pb, rng)
-		if len(child) == 0 {
-			child = p.randSeq(names, rng)
-		} else if rng.Float64() < gaMutationRate {
-			child[rng.Intn(len(child))] = Step{names[rng.Intn(len(names))], rng.Int63()}
+		pa, pb := &p.Members[tournament()], &p.Members[tournament()]
+		child, ca, cb := crossover(pa.Seq, pb.Seq, rng)
+		known := pa.tip.ok[:ca]
+		if ca == 0 && cb == 0 {
+			known = pb.tip.ok // the child is pb unchanged
 		}
-		st := p.fromOrig(child)
+		if len(child) == 0 {
+			child, known = p.randSeq(names, rng), nil
+		} else if rng.Float64() < gaMutationRate {
+			k := rng.Intn(len(child))
+			child[k] = Step{names[rng.Intn(len(names))], rng.Int63()}
+			known = known[:min(k, len(known))]
+		}
+		st := p.fromOrig(child, known)
 		s, fl := p.score(st.file, st.flat)
 		next = append(next, Member{Seq: child, File: st.file, Score: s, Flat: fl, tip: st})
 	}
@@ -353,14 +373,14 @@ func (p *Population) gaGeneration(names []string, rng *rand.Rand) {
 }
 
 // crossover splices two parent sequences at one point each, tolerating
-// unequal lengths (the arena's sequences grow at different rates).
-func crossover(pa, pb []Step, rng *rand.Rand) []Step {
-	ca, cb := 0, 0
+// unequal lengths (the arena's sequences grow at different rates). It
+// returns the child and the cuts: the child is pa[:ca] followed by pb[cb:].
+func crossover(pa, pb []Step, rng *rand.Rand) (child []Step, ca, cb int) {
 	if len(pa) > 0 {
 		ca = rng.Intn(len(pa) + 1)
 	}
 	if len(pb) > 0 {
 		cb = rng.Intn(len(pb) + 1)
 	}
-	return append(append([]Step(nil), pa[:ca]...), pb[cb:]...)
+	return append(append([]Step(nil), pa[:ca]...), pb[cb:]...), ca, cb
 }

@@ -1,7 +1,9 @@
 package srcobf
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -10,11 +12,14 @@ import (
 )
 
 // sameState reports how a and b differ ("" when they are equal): the same
-// printed AST, and flat views that FlatDiff cannot tell apart, with nil on
-// both sides counting as equal.
+// printed AST, the same step verdicts, and flat views that FlatDiff cannot
+// tell apart, with nil on both sides counting as equal.
 func sameState(a, b state) string {
 	if pa, pb := minic.Print(a.file), minic.Print(b.file); pa != pb {
 		return "AST differs:\n--- a\n" + pa + "\n--- b\n" + pb
+	}
+	if !slices.Equal(a.ok, b.ok) {
+		return fmt.Sprintf("verdicts differ: %v vs %v", a.ok, b.ok)
 	}
 	switch {
 	case a.flat == nil && b.flat == nil:
@@ -26,11 +31,13 @@ func sameState(a, b state) string {
 }
 
 // TestResumeMatchesReplayFromOrig: a member's tip — built by resuming from
-// the previous tip whenever a move only appends a step — must equal a full
-// replay of its sequence from the original program after every generation,
-// for every strategy, under the default objective and under one that
-// rejects some candidates and drifts downward. The original program must
-// come out untouched.
+// the previous tip whenever a move only appends a step, or by replaying
+// from the original program with the step verdicts inherited from a parent
+// (ga children and lone-genome mutations, mcmc drops) — must equal a full
+// replay of its sequence from the original program, verdicts included,
+// after every generation, for every strategy at population sizes 1 and 3,
+// under the default objective and under one that rejects some candidates
+// and drifts downward. The original program must come out untouched.
 func TestResumeMatchesReplayFromOrig(t *testing.T) {
 	set, err := dataset.Generate(2, 2, 7)
 	if err != nil {
@@ -54,6 +61,10 @@ func TestResumeMatchesReplayFromOrig(t *testing.T) {
 		obj  func() Objective
 	}{{"default", func() Objective { return nil }}, {"drifting", drifting}}
 	drlsgDiverged := 0
+	// Candidates replayed with a non-empty inherited verdict prefix, per
+	// strategy and population size: ga/1 counts lone-genome mutations, ga/3
+	// crossover children, mcmc/* drops.
+	inherited := map[string]int{}
 	for _, o := range objectives {
 		for si, smp := range set.Samples {
 			f, err := minic.Parse(smp.Source)
@@ -61,29 +72,32 @@ func TestResumeMatchesReplayFromOrig(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, strat := range StrategyNames() {
-				rng := rand.New(rand.NewSource(int64(si + 1)))
-				p, err := NewPopulation(f, strat, 3, o.obj(), rng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				origSrc := minic.Print(p.orig)
-				for g := 0; g <= 6; g++ {
-					if g > 0 {
-						p.Evolve(rng)
+				for _, size := range []int{1, 3} {
+					rng := rand.New(rand.NewSource(int64(si + 1)))
+					p, err := NewPopulation(f, strat, size, o.obj(), rng)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for i := range p.Members {
-						m := &p.Members[i]
-						if d := sameState(m.tip, p.fromOrig(m.Seq)); d != "" {
-							t.Fatalf("%s/%s sample %d gen %d member %d: tip is not the replay of Seq: %s",
-								o.name, strat, si, g, i, d)
+					origSrc := minic.Print(p.orig)
+					for g := 0; g <= 6; g++ {
+						if g > 0 {
+							p.Evolve(rng)
 						}
-						if strat == "drlsg" && m.tip.file != m.File {
-							drlsgDiverged++
+						for i := range p.Members {
+							m := &p.Members[i]
+							if d := sameState(m.tip, p.fromOrig(m.Seq, nil)); d != "" {
+								t.Fatalf("%s/%s/%d sample %d gen %d member %d: tip is not the replay of Seq: %s",
+									o.name, strat, size, si, g, i, d)
+							}
+							if strat == "drlsg" && m.tip.file != m.File {
+								drlsgDiverged++
+							}
 						}
 					}
-				}
-				if got := minic.Print(p.orig); got != origSrc {
-					t.Fatalf("%s/%s sample %d: the original program was mutated", o.name, strat, si)
+					if got := minic.Print(p.orig); got != origSrc {
+						t.Fatalf("%s/%s/%d sample %d: the original program was mutated", o.name, strat, size, si)
+					}
+					inherited[fmt.Sprintf("%s/%d", strat, size)] += p.inherited
 				}
 			}
 		}
@@ -91,4 +105,10 @@ func TestResumeMatchesReplayFromOrig(t *testing.T) {
 	if drlsgDiverged == 0 {
 		t.Fatal("no drlsg member ever had a tip past its best program; the test misses the case it is for")
 	}
+	for _, k := range []string{"ga/1", "ga/3", "mcmc/1", "mcmc/3"} {
+		if inherited[k] == 0 {
+			t.Errorf("%s: no candidate inherited a verdict prefix; the test misses the case it is for (counts %v)", k, inherited)
+		}
+	}
+	t.Logf("candidates with inherited verdicts: %v", inherited)
 }

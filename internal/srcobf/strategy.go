@@ -12,48 +12,89 @@ import (
 func StrategyNames() []string { return []string{"rs", "mcmc", "drlsg", "ga"} }
 
 // state is where a replayed sequence leaves a program: the AST after its
-// accepted steps, and the flat view of the probe compile that accepted the
-// last of them (nil when no step was accepted, so file is still the
-// original program). A state's AST is never mutated once built — members,
-// candidates and the population's original program share ASTs freely, and
-// every step works on a fresh clone.
+// accepted steps, the flat view of that AST (nil when no step was accepted,
+// so file is still the original program), and one verdict per step of the
+// sequence from the original program, true where the step was accepted. A
+// state's AST and verdicts are never mutated once built — members,
+// candidates and the population's original program share them freely,
+// every step works on a fresh clone and every replay builds a fresh
+// verdict slice.
 type state struct {
 	file *minic.File
 	flat *ir.Flat
+	ok   []bool
 }
 
-// replay applies steps on top of from. A step whose result no longer
-// compiles is skipped — the safety net that keeps every emitted program
-// valid. The probe compile that validated the last accepted step is not
-// thrown away: its flat view is the new state's, so scoring and the coevo
-// arena reuse it instead of compiling the same program again.
+// replay applies steps on top of from. A step that does not apply, or whose
+// result no longer compiles, is rejected — the safety net that keeps every
+// emitted program valid. The probe compile that validated the last accepted
+// step is not thrown away: its flat view is the new state's, so scoring and
+// the coevo arena reuse it instead of compiling the same program again.
+//
+// known holds verdicts already established for a prefix of steps, taken
+// from a member whose sequence starts with the same steps: an inherited
+// accepted step is cloned and applied but not compiled again, an inherited
+// rejected step is skipped. When the last accepted step was inherited, the
+// final program is compiled once for its view. An inherited accepted step
+// that no longer applies means the verdicts came from another sequence, and
+// replay panics.
 //
 // Because every step sees only the AST before it and its own seed,
 // replay(replay(s, a), b) equals replay(s, a+b): a move that appends one
 // step resumes from the member's tip instead of replaying the whole
 // sequence from the original program.
-func replay(from state, steps []Step) state {
-	cur := from.file
+func replay(from state, steps []Step, known []bool) state {
+	cur, flat := from.file, from.flat
+	ok := make([]bool, len(from.ok), len(from.ok)+len(steps))
+	copy(ok, from.ok)
 	var lastMod *ir.Module
-	for _, st := range steps {
+	stale := false // the last accepted step was inherited, so flat is stale
+	// One generator for the whole replay, reseeded per step: the same
+	// stream as a fresh rand.New(rand.NewSource(seed)) without its 4.9 KB.
+	var rng *rand.Rand
+	for i, st := range steps {
+		inherited := i < len(known)
+		if inherited && !known[i] {
+			ok = append(ok, false)
+			continue
+		}
 		t, err := transformByName(st.Name)
-		if err != nil {
-			continue
+		if err == nil {
+			if rng == nil {
+				rng = rand.New(rand.NewSource(st.Seed))
+			} else {
+				rng.Seed(st.Seed)
+			}
+			cand := cloneFile(cur)
+			if t.Apply(cand, rng) {
+				if inherited {
+					cur, lastMod, stale = cand, nil, true
+					ok = append(ok, true)
+					continue
+				}
+				if mod, err := minic.Compile(cand, "member"); err == nil {
+					cur, lastMod, stale = cand, mod, false
+					ok = append(ok, true)
+					continue
+				}
+			}
 		}
-		cand := cloneFile(cur)
-		if !t.Apply(cand, rand.New(rand.NewSource(st.Seed))) {
-			continue
+		if inherited {
+			panic(fmt.Sprintf("srcobf: inherited accepted step %d (%s) no longer applies", i, st.Name))
 		}
-		mod, err := minic.Compile(cand, "member")
-		if err != nil {
-			continue
-		}
-		cur, lastMod = cand, mod
+		ok = append(ok, false)
 	}
-	if lastMod == nil {
-		return state{file: cur, flat: from.flat}
+	if stale {
+		mod, err := minic.Compile(cur, "member")
+		if err != nil {
+			panic(fmt.Sprintf("srcobf: program of inherited accepted steps does not compile: %v", err))
+		}
+		lastMod = mod
 	}
-	return state{file: cur, flat: ir.Flatten(lastMod)}
+	if lastMod != nil {
+		flat = ir.Flatten(lastMod)
+	}
+	return state{file: cur, flat: flat, ok: ok}
 }
 
 // origFlat compiles the original program once and returns its flat IR view
@@ -61,7 +102,7 @@ func replay(from state, steps []Step) state {
 // the quantity Figure 10 analyzes) and the fallback view score substitutes
 // for candidates whose sequences applied no step.
 func origFlat(f *minic.File) (*ir.Flat, error) {
-	m, err := minic.Compile(cloneFile(f), "orig")
+	m, err := minic.Compile(f, "orig")
 	if err != nil {
 		return nil, err
 	}
