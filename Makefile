@@ -190,6 +190,15 @@ results-check:
 	check game1_mcmc game1 -classes 12 -per 20 -rounds 2 -evader mcmc; \
 	check game1_drlsg game1 -classes 12 -per 20 -rounds 2 -evader drlsg; \
 	check game2_rs game2 -classes 12 -per 20 -rounds 2 -evader rs; \
+	check game1_none game1 -classes 12 -per 20 -rounds 2 -evader none; \
+	check game1_bcf game1 -classes 12 -per 20 -rounds 2 -evader bcf; \
+	check game1_fla game1 -classes 12 -per 20 -rounds 2 -evader fla; \
+	check game1_sub game1 -classes 12 -per 20 -rounds 2 -evader sub; \
+	check game1_ollvm game1 -classes 12 -per 20 -rounds 2 -evader ollvm; \
+	check game2_bcf game2 -classes 12 -per 20 -rounds 2 -evader bcf; \
+	check game2_fla game2 -classes 12 -per 20 -rounds 2 -evader fla; \
+	check game2_sub game2 -classes 12 -per 20 -rounds 2 -evader sub; \
+	check game2_ollvm game2 -classes 12 -per 20 -rounds 2 -evader ollvm; \
 	echo "results-check: committed figures regenerate"
 
 check: build test race cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke perfbench-check results-check

@@ -69,7 +69,7 @@ func cmdFuzz(args []string) error {
 		rec.man.AddCell("fuzz/"+name, "failures",
 			[]float64{float64(st.Failures())})
 		if *verbose {
-			fmt.Printf("%-14s %6d cells  equal=%d trap-skipped=%d failures=%d  %v\n",
+			fmt.Printf("%-22s %6d cells  equal=%d trap-skipped=%d failures=%d  %v\n",
 				name, st.Cells(), st.Equal, st.TrapSkipped, st.Failures(),
 				time.Duration(st.Nanos).Round(time.Millisecond))
 		}

@@ -41,6 +41,7 @@ import (
 	"repro/internal/minic"
 	"repro/internal/obfus"
 	"repro/internal/passes"
+	"repro/internal/srcobf"
 )
 
 // OracleMaxSteps is the interpreter budget for the O0 oracle run. progen
@@ -235,6 +236,21 @@ func sourceTransform(name string) Transform {
 	}}
 }
 
+// srcobfTransform applies one srcobf transform and compiles the result,
+// fuzzing the property srcobf's replay rests on: an applied transform
+// leaves a program that compiles. A compile failure is the cell's
+// TransformError.
+func srcobfTransform(t srcobf.Transform) Transform {
+	return Transform{Name: "srcobf:" + t.Name, Group: "source", Src: func(src string, rng *rand.Rand) (*ir.Module, error) {
+		f, err := minic.Parse(src)
+		if err != nil {
+			return nil, err
+		}
+		t.Apply(f, rng)
+		return minic.Compile(f, "prog")
+	}}
+}
+
 // PassNames are the individual passes under differential test.
 var PassNames = []string{"mem2reg", "instcombine", "simplifycfg", "sccp", "dce", "gvn", "licm", "unroll", "inline"}
 
@@ -242,7 +258,8 @@ var PassNames = []string{"mem2reg", "instcombine", "simplifycfg", "sccp", "dce",
 //
 //	smoke    every pass, pipeline and obfuscator
 //	module   smoke plus the composed evader pipelines (default)
-//	all      module plus the source-level evader strategies (slow)
+//	all      module plus the source-level evader strategies and one
+//	         srcobf:<name> cell per srcobf transform (slow)
 //	<name>   just the named transform
 func Transforms(set string) ([]Transform, error) {
 	var ts []Transform
@@ -263,23 +280,22 @@ func Transforms(set string) ([]Transform, error) {
 		composedTransform("fla", "O3"),
 		composedTransform("ollvm", "O2"),
 	)
+	var src []Transform
+	for _, s := range srcobf.StrategyNames() {
+		src = append(src, sourceTransform(s))
+	}
+	for _, t := range srcobf.Transforms() {
+		src = append(src, srcobfTransform(t))
+	}
 	switch set {
 	case "", "module":
 		return ts, nil
 	case "all":
-		for _, s := range []string{"rs", "mcmc", "drlsg", "ga"} {
-			ts = append(ts, sourceTransform(s))
-		}
-		return ts, nil
+		return append(ts, src...), nil
 	}
-	for _, t := range ts {
+	for _, t := range append(ts, src...) {
 		if t.Name == set {
 			return []Transform{t}, nil
-		}
-	}
-	for _, s := range []string{"rs", "mcmc", "drlsg", "ga"} {
-		if s == set {
-			return []Transform{sourceTransform(s)}, nil
 		}
 	}
 	return nil, fmt.Errorf("difftest: unknown transform set %q", set)

@@ -13,6 +13,7 @@ import (
 	"repro/internal/minic"
 	"repro/internal/progcache"
 	"repro/internal/progen"
+	"repro/internal/srcobf"
 	"repro/internal/vm"
 )
 
@@ -329,8 +330,14 @@ func TestTransformSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != len(mod)+4 {
-		t.Errorf("all set has %d transforms, want %d", len(all), len(mod)+4)
+	if want := len(mod) + 4 + len(srcobf.Transforms()); len(all) != want {
+		t.Errorf("all set has %d transforms, want %d", len(all), want)
+	}
+	for _, tf := range srcobf.Transforms() {
+		one, err := Transforms("srcobf:" + tf.Name)
+		if err != nil || len(one) != 1 || one[0].Group != "source" {
+			t.Errorf("srcobf cell %s: %v, %v", tf.Name, one, err)
+		}
 	}
 	smoke, err := Transforms("smoke")
 	if err != nil {

@@ -6,7 +6,7 @@ import (
 	"repro/internal/ir"
 )
 
-// BenchmarkVerify is the verifier run every probe compile, pass pipeline
+// BenchmarkVerify is the verifier run every MiniC compile, pass pipeline
 // and obfuscation ends in, over the dominator-tree corpus. One op verifies
 // every module of the corpus once.
 func BenchmarkVerify(b *testing.B) {

@@ -243,12 +243,19 @@ func rewriteStmt(s minic.Stmt, fn func(minic.Stmt) minic.Stmt) minic.Stmt {
 
 // rewriteFileStmts applies fn to every statement in every function.
 func rewriteFileStmts(f *minic.File, fn func(minic.Stmt) minic.Stmt) {
+	rewriteFuncStmts(f, func(_ *minic.BlockStmt, s minic.Stmt) minic.Stmt { return fn(s) })
+}
+
+// rewriteFuncStmts is rewriteFileStmts for rewrites that look at the rest
+// of the function: fn also gets the body of the function s is in.
+func rewriteFuncStmts(f *minic.File, fn func(body *minic.BlockStmt, s minic.Stmt) minic.Stmt) {
 	for _, d := range f.Decls {
 		fd, ok := d.(*minic.FuncDecl)
 		if !ok || fd.Body == nil {
 			continue
 		}
-		fd.Body = rewriteStmt(fd.Body, fn).(*minic.BlockStmt)
+		body := fd.Body
+		fd.Body = rewriteStmt(body, func(s minic.Stmt) minic.Stmt { return fn(body, s) }).(*minic.BlockStmt)
 	}
 }
 
@@ -293,40 +300,110 @@ func rewriteExpr(e minic.Expr, fn func(minic.Expr) minic.Expr) minic.Expr {
 // file, including loop clauses, switch tags and initializers.
 func rewriteAllExprs(f *minic.File, fn func(minic.Expr) minic.Expr) {
 	rewriteFileStmts(f, func(s minic.Stmt) minic.Stmt {
-		switch x := s.(type) {
-		case *minic.ExprStmt:
-			x.X = rewriteExpr(x.X, fn)
-		case *minic.IfStmt:
-			x.Cond = rewriteExpr(x.Cond, fn)
-		case *minic.WhileStmt:
-			x.Cond = rewriteExpr(x.Cond, fn)
-		case *minic.DoWhileStmt:
-			x.Cond = rewriteExpr(x.Cond, fn)
-		case *minic.ForStmt:
-			if x.Cond != nil {
-				x.Cond = rewriteExpr(x.Cond, fn)
-			}
-			if x.Post != nil {
-				x.Post = rewriteExpr(x.Post, fn)
-			}
-		case *minic.SwitchStmt:
-			x.Tag = rewriteExpr(x.Tag, fn)
-		case *minic.ReturnStmt:
-			if x.Val != nil {
-				x.Val = rewriteExpr(x.Val, fn)
-			}
-		case *minic.DeclStmt:
-			for _, v := range x.Vars {
-				if v.Init != nil {
-					v.Init = rewriteExpr(v.Init, fn)
-				}
-				for i, e := range v.Inits {
-					v.Inits[i] = rewriteExpr(e, fn)
-				}
-			}
-		}
+		rewriteStmtExprs(s, fn)
 		return s
 	})
+}
+
+// rewriteStmtExprs applies fn to the expressions s holds itself, not to
+// those of the statements nested in it.
+func rewriteStmtExprs(s minic.Stmt, fn func(minic.Expr) minic.Expr) {
+	switch x := s.(type) {
+	case *minic.ExprStmt:
+		x.X = rewriteExpr(x.X, fn)
+	case *minic.IfStmt:
+		x.Cond = rewriteExpr(x.Cond, fn)
+	case *minic.WhileStmt:
+		x.Cond = rewriteExpr(x.Cond, fn)
+	case *minic.DoWhileStmt:
+		x.Cond = rewriteExpr(x.Cond, fn)
+	case *minic.ForStmt:
+		if x.Cond != nil {
+			x.Cond = rewriteExpr(x.Cond, fn)
+		}
+		if x.Post != nil {
+			x.Post = rewriteExpr(x.Post, fn)
+		}
+	case *minic.SwitchStmt:
+		x.Tag = rewriteExpr(x.Tag, fn)
+	case *minic.ReturnStmt:
+		if x.Val != nil {
+			x.Val = rewriteExpr(x.Val, fn)
+		}
+	case *minic.DeclStmt:
+		for _, v := range x.Vars {
+			if v.Init != nil {
+				v.Init = rewriteExpr(v.Init, fn)
+			}
+			for i, e := range v.Inits {
+				v.Inits[i] = rewriteExpr(e, fn)
+			}
+		}
+	}
+}
+
+// usedOutside reports whether a name that the statements of unit declare
+// into the scope around them is used in body outside unit. MiniC opens a
+// scope only for a block or a for loop, so a declaration in a switch case,
+// or in the unbraced body of an if, while or do-while, stays visible after
+// that statement. A rewrite that moves unit into a new scope, or reorders
+// it against its neighbours, skips it when this holds.
+func usedOutside(body *minic.BlockStmt, unit ...minic.Stmt) bool {
+	var names []string
+	for _, s := range unit {
+		names = scopeDecls(s, names)
+	}
+	for _, name := range names {
+		inside := 0
+		for _, s := range unit {
+			inside += uses(s, name)
+		}
+		if uses(body, name) > inside {
+			return true
+		}
+	}
+	return false
+}
+
+// scopeDecls appends the names s declares into the scope around it.
+func scopeDecls(s minic.Stmt, names []string) []string {
+	switch x := s.(type) {
+	case *minic.DeclStmt:
+		for _, v := range x.Vars {
+			names = append(names, v.Name)
+		}
+	case *minic.IfStmt:
+		names = scopeDecls(x.Then, names)
+		if x.Else != nil {
+			names = scopeDecls(x.Else, names)
+		}
+	case *minic.WhileStmt:
+		names = scopeDecls(x.Body, names)
+	case *minic.DoWhileStmt:
+		names = scopeDecls(x.Body, names)
+	case *minic.SwitchStmt:
+		for _, c := range x.Cases {
+			for _, st := range c.Body {
+				names = scopeDecls(st, names)
+			}
+		}
+	}
+	return names
+}
+
+// uses counts the identifiers named name in s.
+func uses(s minic.Stmt, name string) int {
+	n := 0
+	rewriteStmt(s, func(st minic.Stmt) minic.Stmt {
+		rewriteStmtExprs(st, func(e minic.Expr) minic.Expr {
+			if id, ok := e.(*minic.Ident); ok && id.Name == name {
+				n++
+			}
+			return e
+		})
+		return st
+	})
+	return n
 }
 
 // containsContinue reports whether s contains a continue binding to the

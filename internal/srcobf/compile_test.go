@@ -11,8 +11,8 @@ import (
 
 // TestCompileLeavesASTUnchanged: minic.Compile must not mutate the AST it
 // lowers, whether it succeeds or fails. The search shares ASTs between
-// members and candidates and compiles them in place (FlatView, the probe
-// compile of every replayed step, the one compile after inherited steps),
+// members and candidates and compiles them in place (FlatView, the one
+// compile at the end of every replay, the per-step probes of its fallback),
 // so a compile that rewrote its input would change the programs it
 // validates. Every program is printed before and after compiling; the two
 // prints must match.

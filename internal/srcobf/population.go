@@ -42,10 +42,10 @@ type Member struct {
 	Seq   []Step
 	File  *minic.File
 	Score float64
-	// Flat is the cached flat IR view of File, carried over from the probe
-	// compile that validated it (or rebuilt at the last scoring). It is nil
-	// only when File never compiled; consumers that need a view
-	// unconditionally fall back to FlatView.
+	// Flat is the cached flat IR view of File, carried over from the
+	// compile that ended the replay which built it (or rebuilt at the last
+	// scoring). It is nil only when File never compiled; consumers that need
+	// a view unconditionally fall back to FlatView.
 	Flat *ir.Flat
 
 	// tip is the replay of Seq: the state a move that appends one step

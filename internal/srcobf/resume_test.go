@@ -33,8 +33,9 @@ func sameState(a, b state) string {
 // TestResumeMatchesReplayFromOrig: a member's tip — built by resuming from
 // the previous tip whenever a move only appends a step, or by replaying
 // from the original program with the step verdicts inherited from a parent
-// (ga children and lone-genome mutations, mcmc drops) — must equal a full
-// replay of its sequence from the original program, verdicts included,
+// (ga children and lone-genome mutations, mcmc drops), compiling only the
+// final program — must equal the probed replay of its sequence from the
+// original program, which compiles after every step, verdicts included,
 // after every generation, for every strategy at population sizes 1 and 3,
 // under the default objective and under one that rejects some candidates
 // and drifts downward. The original program must come out untouched.
@@ -85,8 +86,8 @@ func TestResumeMatchesReplayFromOrig(t *testing.T) {
 						}
 						for i := range p.Members {
 							m := &p.Members[i]
-							if d := sameState(m.tip, p.fromOrig(m.Seq, nil)); d != "" {
-								t.Fatalf("%s/%s/%d sample %d gen %d member %d: tip is not the replay of Seq: %s",
+							if d := sameState(m.tip, probedReplay(state{file: p.orig}, m.Seq)); d != "" {
+								t.Fatalf("%s/%s/%d sample %d gen %d member %d: tip is not the probed replay of Seq: %s",
 									o.name, strat, size, si, g, i, d)
 							}
 							if strat == "drlsg" && m.tip.file != m.File {
@@ -111,4 +112,51 @@ func TestResumeMatchesReplayFromOrig(t *testing.T) {
 		}
 	}
 	t.Logf("candidates with inherited verdicts: %v", inherited)
+}
+
+// TestReplayFallsBackToProbes: when the program a replay ends at does not
+// compile, replay must return what the probed replay returns. Replaying
+// from a state whose AST parses but does not compile gets there with no
+// test hook: the steps apply, and the final compile fails. Every step's
+// probe compile fails too, so the fallback accepts none of them and hands
+// back the state it started from.
+func TestReplayFallsBackToProbes(t *testing.T) {
+	f, err := minic.Parse(`int main() {
+	int x = input();
+	int s = 0;
+	for (int i = 0; i < x; i++) { s += i * 3; }
+	while (s > 100) { s = s - 7; }
+	return s + missing;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := state{file: f}
+	names := TransformNames()
+	rng := rand.New(rand.NewSource(5))
+	reached := 0
+	for trial := 0; trial < 20; trial++ {
+		steps := make([]Step, 6)
+		for i := range steps {
+			steps[i] = Step{names[rng.Intn(len(names))], rng.Int63()}
+		}
+		unprobed, _, _ := applySteps(from, steps, nil, false)
+		if unprobed == f {
+			continue // nothing applied, so there was nothing to compile
+		}
+		if _, err := minic.Compile(unprobed, "member"); err == nil {
+			t.Fatal("the unprobed program compiles; the test misses the case it is for")
+		}
+		reached++
+		got := replay(from, steps, nil)
+		if d := sameState(got, probedReplay(from, steps)); d != "" {
+			t.Fatalf("trial %d: replay differs from the probed replay: %s", trial, d)
+		}
+		if d := sameState(got, state{file: f, ok: make([]bool, len(steps))}); d != "" {
+			t.Fatalf("trial %d: the fallback accepted a step whose program does not compile: %s", trial, d)
+		}
+	}
+	if reached == 0 {
+		t.Fatal("no trial applied a step; the test misses the case it is for")
+	}
 }

@@ -12,43 +12,76 @@ import (
 func StrategyNames() []string { return []string{"rs", "mcmc", "drlsg", "ga"} }
 
 // state is where a replayed sequence leaves a program: the AST after its
-// accepted steps, the flat view of that AST (nil when no step was accepted,
-// so file is still the original program), and one verdict per step of the
-// sequence from the original program, true where the step was accepted. A
-// state's AST and verdicts are never mutated once built — members,
-// candidates and the population's original program share them freely,
-// every step works on a fresh clone and every replay builds a fresh
-// verdict slice.
+// accepted steps, the flat view of that AST (nil when no step has been
+// accepted since the original program, so file is still the original), and
+// one verdict per step of the sequence from the original program, true
+// where the step was accepted. A step is accepted when its transform
+// applies, which leaves a program that compiles
+// (TestTransformsKeepProgramsCompiling). A state's AST and verdicts are
+// never mutated once built — members, candidates and the population's
+// original program share them freely, every step works on a fresh clone and
+// every replay builds a fresh verdict slice.
 type state struct {
 	file *minic.File
 	flat *ir.Flat
 	ok   []bool
 }
 
-// replay applies steps on top of from. A step that does not apply, or whose
-// result no longer compiles, is rejected — the safety net that keeps every
-// emitted program valid. The probe compile that validated the last accepted
-// step is not thrown away: its flat view is the new state's, so scoring and
-// the coevo arena reuse it instead of compiling the same program again.
+// replay applies steps on top of from without compiling any of them, then
+// compiles the final program once, for the new state's flat view; scoring
+// and the coevo arena reuse that view instead of compiling the same program
+// again. A step that does not apply is rejected.
+//
+// If the final program does not compile, some transform broke the program
+// on an input the property test does not cover (srcobf also runs on
+// untrusted sources). replay then replays the same steps with a probe
+// compile after each one (probedReplay), which rejects exactly the steps
+// that break the program, so every emitted program still compiles.
 //
 // known holds verdicts already established for a prefix of steps, taken
 // from a member whose sequence starts with the same steps: an inherited
-// accepted step is cloned and applied but not compiled again, an inherited
-// rejected step is skipped. When the last accepted step was inherited, the
-// final program is compiled once for its view. An inherited accepted step
-// that no longer applies means the verdicts came from another sequence, and
-// replay panics.
+// rejected step is skipped, an inherited accepted step is applied again. An
+// inherited accepted step that no longer applies means the verdicts came
+// from another sequence, and replay panics.
 //
 // Because every step sees only the AST before it and its own seed,
-// replay(replay(s, a), b) equals replay(s, a+b): a move that appends one
+// replay(replay(s, a), b) equals replay(s, a+b) as long as a program that
+// stops compiling is not repaired by a later step: a move that appends one
 // step resumes from the member's tip instead of replaying the whole
 // sequence from the original program.
 func replay(from state, steps []Step, known []bool) state {
-	cur, flat := from.file, from.flat
+	file, ok, _ := applySteps(from, steps, known, false)
+	if file == from.file {
+		return state{file: file, flat: from.flat, ok: ok}
+	}
+	mod, err := minic.Compile(file, "member")
+	if err != nil {
+		return probedReplay(from, steps)
+	}
+	return state{file: file, flat: ir.Flatten(mod), ok: ok}
+}
+
+// probedReplay is replay with a probe compile after every applied step: a
+// step is accepted only if its result compiles, and the compile of the last
+// accepted step gives the flat view. It is replay's fallback and the
+// reference the tests hold replay to.
+func probedReplay(from state, steps []Step) state {
+	file, ok, mod := applySteps(from, steps, nil, true)
+	if mod == nil {
+		return state{file: file, flat: from.flat, ok: ok}
+	}
+	return state{file: file, flat: ir.Flatten(mod), ok: ok}
+}
+
+// applySteps applies steps on top of from, each to a fresh clone of the AST
+// before it, and returns the final AST and the verdicts from the original
+// program on. With probe set, an applied step is accepted only if its
+// result compiles, and the module of the last accepted step comes back too.
+func applySteps(from state, steps []Step, known []bool, probe bool) (*minic.File, []bool, *ir.Module) {
+	cur := from.file
+	var mod *ir.Module
 	ok := make([]bool, len(from.ok), len(from.ok)+len(steps))
 	copy(ok, from.ok)
-	var lastMod *ir.Module
-	stale := false // the last accepted step was inherited, so flat is stale
 	// One generator for the whole replay, reseeded per step: the same
 	// stream as a fresh rand.New(rand.NewSource(seed)) without its 4.9 KB.
 	var rng *rand.Rand
@@ -58,8 +91,8 @@ func replay(from state, steps []Step, known []bool) state {
 			ok = append(ok, false)
 			continue
 		}
-		t, err := transformByName(st.Name)
-		if err == nil {
+		accepted := false
+		if t, err := transformByName(st.Name); err == nil {
 			if rng == nil {
 				rng = rand.New(rand.NewSource(st.Seed))
 			} else {
@@ -67,34 +100,19 @@ func replay(from state, steps []Step, known []bool) state {
 			}
 			cand := cloneFile(cur)
 			if t.Apply(cand, rng) {
-				if inherited {
-					cur, lastMod, stale = cand, nil, true
-					ok = append(ok, true)
-					continue
-				}
-				if mod, err := minic.Compile(cand, "member"); err == nil {
-					cur, lastMod, stale = cand, mod, false
-					ok = append(ok, true)
-					continue
+				if !probe {
+					cur, accepted = cand, true
+				} else if m, err := minic.Compile(cand, "member"); err == nil {
+					cur, mod, accepted = cand, m, true
 				}
 			}
 		}
-		if inherited {
+		if inherited && !accepted {
 			panic(fmt.Sprintf("srcobf: inherited accepted step %d (%s) no longer applies", i, st.Name))
 		}
-		ok = append(ok, false)
+		ok = append(ok, accepted)
 	}
-	if stale {
-		mod, err := minic.Compile(cur, "member")
-		if err != nil {
-			panic(fmt.Sprintf("srcobf: program of inherited accepted steps does not compile: %v", err))
-		}
-		lastMod = mod
-	}
-	if lastMod != nil {
-		flat = ir.Flatten(lastMod)
-	}
-	return state{file: cur, flat: flat, ok: ok}
+	return cur, ok, mod
 }
 
 // origFlat compiles the original program once and returns its flat IR view

@@ -97,12 +97,13 @@ func tfFor2While(f *minic.File, rng *rand.Rand) bool {
 	return changed
 }
 
-// tfWhile2For rewrites while(c) S into for(;c;) S.
+// tfWhile2For rewrites while(c) S into for(;c;) S. The for loop opens a
+// scope, so loops whose body declares a name used outside it are skipped.
 func tfWhile2For(f *minic.File, rng *rand.Rand) bool {
 	changed := false
-	rewriteFileStmts(f, func(s minic.Stmt) minic.Stmt {
+	rewriteFuncStmts(f, func(fn *minic.BlockStmt, s minic.Stmt) minic.Stmt {
 		ws, ok := s.(*minic.WhileStmt)
-		if !ok || rng.Float64() > 0.8 {
+		if !ok || rng.Float64() > 0.8 || usedOutside(fn, ws.Body) {
 			return s
 		}
 		changed = true
@@ -111,16 +112,18 @@ func tfWhile2For(f *minic.File, rng *rand.Rand) bool {
 	return changed
 }
 
-// tfWhile2DoWhile rewrites while(c) S into if(c) do S while(c).
+// tfWhile2DoWhile rewrites while(c) S into if(c) do S while(c). S moves
+// into the if's block and ahead of the second c, so loops whose body
+// declares a name used outside it are skipped.
 func tfWhile2DoWhile(f *minic.File, rng *rand.Rand) bool {
 	changed := false
-	rewriteFileStmts(f, func(s minic.Stmt) minic.Stmt {
+	rewriteFuncStmts(f, func(fn *minic.BlockStmt, s minic.Stmt) minic.Stmt {
 		ws, ok := s.(*minic.WhileStmt)
 		if !ok || rng.Float64() > 0.7 {
 			return s
 		}
 		// The condition is evaluated again, so it must be repeatable.
-		if !sideEffectFree(ws.Cond) {
+		if !sideEffectFree(ws.Cond) || usedOutside(fn, ws.Body) {
 			return s
 		}
 		changed = true
@@ -134,16 +137,21 @@ func tfWhile2DoWhile(f *minic.File, rng *rand.Rand) bool {
 	return changed
 }
 
-// tfIfNegate rewrites if(c) A else B into if(!c) B else A.
+// tfIfNegate rewrites if(c) A else B into if(!c) B else A. Swapping A and
+// B reorders their declarations, so an if whose branch declares a name used
+// outside that branch keeps its order.
 func tfIfNegate(f *minic.File, rng *rand.Rand) bool {
 	changed := false
-	rewriteFileStmts(f, func(s minic.Stmt) minic.Stmt {
+	rewriteFuncStmts(f, func(fn *minic.BlockStmt, s minic.Stmt) minic.Stmt {
 		is, ok := s.(*minic.IfStmt)
 		if !ok || rng.Float64() > 0.6 {
 			return s
 		}
 		neg := &minic.UnaryExpr{Op: "!", X: &minic.ParenExpr{X: is.Cond}}
 		if is.Else != nil {
+			if usedOutside(fn, is.Then) || usedOutside(fn, is.Else) {
+				return s
+			}
 			changed = true
 			return &minic.IfStmt{Cond: neg, Then: is.Else, Else: is.Then}
 		}
@@ -154,11 +162,14 @@ func tfIfNegate(f *minic.File, rng *rand.Rand) bool {
 }
 
 // tfSwitch2If rewrites switch statements without fallthrough into if-else
-// chains comparing against a cached tag.
+// chains comparing against a cached tag. Each case body becomes a block of
+// its own, so a switch is skipped when a case body declares a name used
+// outside it (a switch opens no scope: later cases and the code after the
+// switch see it).
 func tfSwitch2If(f *minic.File, rng *rand.Rand) bool {
 	changed := false
 	fr := &fresh{n: rng.Intn(1000) * 100}
-	rewriteFileStmts(f, func(s minic.Stmt) minic.Stmt {
+	rewriteFuncStmts(f, func(fn *minic.BlockStmt, s minic.Stmt) minic.Stmt {
 		sw, ok := s.(*minic.SwitchStmt)
 		if !ok {
 			return s
@@ -184,6 +195,9 @@ func tfSwitch2If(f *minic.File, rng *rand.Rand) bool {
 				if containsLoopBreak(st) {
 					return s
 				}
+			}
+			if usedOutside(fn, c.Body...) {
+				return s
 			}
 			bodies[i] = body
 		}
