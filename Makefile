@@ -12,7 +12,10 @@
 #                close/enqueue interleavings — run on every PR
 #   make bench-figures  regenerate the paper figures as benchmark metrics
 #   make cross   cross-compile for non-amd64 targets (portable kernel paths
-#                must build — no panic stubs allowed to hide there)
+#                must build — no panic stubs allowed to hide there), then
+#                run the interpreter, optimizer and front-end tests as 386
+#                binaries, so the IR's scalar semantics (ir.Eval,
+#                ir.FPToInt64) are checked on a 32-bit word size too
 #   make serve-smoke  boot `arena serve` on a scratch snapshot dir, push one
 #                loadgen round through /v1/classify, then SIGTERM and require
 #                a clean drain (exit 0)
@@ -69,10 +72,13 @@ race:
 	$(GO) test -race -count=20 -run 'TestBatcher' ./internal/serve/
 
 # arm64 covers the !amd64 dispatch build; 386 additionally shakes out
-# 64-bit-assuming code on a 32-bit word size.
+# 64-bit-assuming code on a 32-bit word size, and runs there the tests that
+# pin every evaluation of the IR's scalar semantics (engines, folder, front
+# end) to one definition.
 cross:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=386 $(GO) build ./...
+	GOARCH=386 $(GO) test ./internal/interp/ ./internal/passes/ ./internal/minic/
 
 bench-figures:
 	$(GO) test -run xxx -bench . -benchmem .

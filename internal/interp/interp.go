@@ -41,10 +41,7 @@ type Options struct {
 }
 
 // Val is a dynamic value: integers and pointers in I, floats in F.
-type Val struct {
-	I int64
-	F float64
-}
+type Val = ir.Scalar
 
 type frame struct {
 	fn   *ir.Function
@@ -337,70 +334,15 @@ func (mc *Machine) eval(fr *frame, v ir.Value) Val {
 	panic(errTrap{"unknown value kind"})
 }
 
-// FPToInt64 is the defined float-to-integer conversion of the IR: NaN and
-// ±Inf convert to 0 (the historical carve-out), and finite values outside
-// the int64 range saturate to MinInt64/MaxInt64. Go's own int64(f) is
-// implementation-dependent for out-of-range values (amd64 yields MinInt64,
-// arm64 saturates), which would make the fuzz oracle and the Figure-13 step
-// counts architecture-dependent; pinning saturation here keeps every engine
-// and every architecture bit-identical.
-func FPToInt64(f float64) int64 {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0
-	}
-	// math.MaxInt64 as a float64 constant rounds up to 2^63, so >= catches
-	// exactly the values that overflow; -2^63 itself is representable.
-	if f >= math.MaxInt64 {
-		return math.MaxInt64
-	}
-	if f < math.MinInt64 {
-		return math.MinInt64
-	}
-	return int64(f)
-}
-
-func truncInt(t *ir.Type, v int64) int64 {
-	if !t.IsInt() || t.Bits >= 64 {
-		return v
-	}
-	shift := 64 - uint(t.Bits)
-	return v << shift >> shift
-}
-
 func (mc *Machine) execInstr(fr *frame, in *ir.Instr) (Val, error) {
 	switch {
-	case in.Op.IsIntBinary():
-		a := mc.eval(fr, in.Args[0]).I
-		b := mc.eval(fr, in.Args[1]).I
-		r, err := intBinop(in.Op, a, b, in.Ty)
-		if err != nil {
-			panic(errTrap{err.Error() + " in @" + fr.fn.Name})
-		}
-		return Val{I: truncInt(in.Ty, r)}, nil
-
-	case in.Op.IsFloatBinary():
-		a := mc.eval(fr, in.Args[0]).F
-		b := mc.eval(fr, in.Args[1]).F
-		var r float64
-		switch in.Op {
-		case ir.OpFAdd:
-			r = a + b
-		case ir.OpFSub:
-			r = a - b
-		case ir.OpFMul:
-			r = a * b
-		case ir.OpFDiv:
-			r = a / b
-		case ir.OpFRem:
-			r = math.Mod(a, b)
-		}
-		return Val{F: r}, nil
+	case in.Op.IsIntBinary(), in.Op.IsFloatBinary(), in.Op == ir.OpICmp, in.Op == ir.OpFCmp:
+		return mc.scalar(fr, in, mc.eval(fr, in.Args[0]), mc.eval(fr, in.Args[1])), nil
+	case in.Op == ir.OpFNeg, in.Op >= ir.OpTrunc && in.Op <= ir.OpUIToFP: // the numeric casts
+		return mc.scalar(fr, in, mc.eval(fr, in.Args[0]), Val{}), nil
 	}
 
 	switch in.Op {
-	case ir.OpFNeg:
-		return Val{F: -mc.eval(fr, in.Args[0]).F}, nil
-
 	case ir.OpAlloca:
 		addr, err := mc.alloc(in.AllocaTy.Size())
 		if err != nil {
@@ -441,16 +383,6 @@ func (mc *Machine) execInstr(fr *frame, in *ir.Instr) (Val, error) {
 		}
 		return Val{I: addr}, nil
 
-	case ir.OpICmp:
-		a := mc.eval(fr, in.Args[0]).I
-		b := mc.eval(fr, in.Args[1]).I
-		return Val{I: boolToInt(icmp(in.Pred, a, b))}, nil
-
-	case ir.OpFCmp:
-		a := mc.eval(fr, in.Args[0]).F
-		b := mc.eval(fr, in.Args[1]).F
-		return Val{I: boolToInt(fcmp(in.Pred, a, b))}, nil
-
 	case ir.OpSelect:
 		if mc.eval(fr, in.Args[0]).I != 0 {
 			return mc.eval(fr, in.Args[1]), nil
@@ -467,148 +399,20 @@ func (mc *Machine) execInstr(fr *frame, in *ir.Instr) (Val, error) {
 		}
 		return mc.builtin(in.Builtin, args)
 
-	case ir.OpTrunc, ir.OpZExt, ir.OpSExt:
-		v := mc.eval(fr, in.Args[0]).I
-		from := in.Args[0].Type()
-		switch in.Op {
-		case ir.OpTrunc:
-			return Val{I: truncInt(in.Ty, v)}, nil
-		case ir.OpZExt:
-			if from.Bits < 64 {
-				mask := int64(1)<<uint(from.Bits) - 1
-				v &= mask
-			}
-			return Val{I: v}, nil
-		default: // SExt: values are stored sign-extended already
-			return Val{I: v}, nil
-		}
-
-	case ir.OpFPToSI, ir.OpFPToUI:
-		f := mc.eval(fr, in.Args[0]).F
-		return Val{I: truncInt(in.Ty, FPToInt64(f))}, nil
-
-	case ir.OpSIToFP:
-		return Val{F: float64(mc.eval(fr, in.Args[0]).I)}, nil
-
-	case ir.OpUIToFP:
-		return Val{F: float64(uint64(mc.eval(fr, in.Args[0]).I))}, nil
-
-	case ir.OpFPTrunc, ir.OpFPExt:
-		return mc.eval(fr, in.Args[0]), nil
-
 	case ir.OpPtrToInt, ir.OpIntToPtr, ir.OpBitcast, ir.OpAddrSpaceCast, ir.OpFreeze:
 		return mc.eval(fr, in.Args[0]), nil
 	}
 	panic(errTrap{"unimplemented opcode " + in.Op.String()})
 }
 
-func intBinop(op ir.Opcode, a, b int64, ty *ir.Type) (int64, error) {
-	switch op {
-	case ir.OpAdd:
-		return a + b, nil
-	case ir.OpSub:
-		return a - b, nil
-	case ir.OpMul:
-		return a * b, nil
-	case ir.OpSDiv:
-		if b == 0 {
-			return 0, fmt.Errorf("division by zero")
-		}
-		if a == math.MinInt64 && b == -1 {
-			return a, nil
-		}
-		return a / b, nil
-	case ir.OpUDiv:
-		if b == 0 {
-			return 0, fmt.Errorf("division by zero")
-		}
-		return int64(uint64(a) / uint64(b)), nil
-	case ir.OpSRem:
-		if b == 0 {
-			return 0, fmt.Errorf("division by zero")
-		}
-		if a == math.MinInt64 && b == -1 {
-			return 0, nil
-		}
-		return a % b, nil
-	case ir.OpURem:
-		if b == 0 {
-			return 0, fmt.Errorf("division by zero")
-		}
-		return int64(uint64(a) % uint64(b)), nil
-	case ir.OpShl:
-		return a << (uint64(b) & 63), nil
-	case ir.OpLShr:
-		width := uint(64)
-		if ty.IsInt() && ty.Bits < 64 {
-			width = uint(ty.Bits)
-		}
-		mask := ^uint64(0)
-		if width < 64 {
-			mask = 1<<width - 1
-		}
-		return int64((uint64(a) & mask) >> (uint64(b) & 63)), nil
-	case ir.OpAShr:
-		return a >> (uint64(b) & 63), nil
-	case ir.OpAnd:
-		return a & b, nil
-	case ir.OpOr:
-		return a | b, nil
-	case ir.OpXor:
-		return a ^ b, nil
+// scalar executes an instruction ir.Eval defines. The only operations it
+// reports as not-ok are integer divisions and remainders by zero, which trap.
+func (mc *Machine) scalar(fr *frame, in *ir.Instr, a, b Val) Val {
+	r, ok := ir.Eval(in.Op, in.Pred, in.Args[0].Type(), in.Ty, a, b)
+	if !ok {
+		panic(errTrap{"division by zero in @" + fr.fn.Name})
 	}
-	return 0, fmt.Errorf("bad int binop %s", op)
-}
-
-func icmp(p ir.CmpPred, a, b int64) bool {
-	switch p {
-	case ir.CmpEQ:
-		return a == b
-	case ir.CmpNE:
-		return a != b
-	case ir.CmpSLT:
-		return a < b
-	case ir.CmpSLE:
-		return a <= b
-	case ir.CmpSGT:
-		return a > b
-	case ir.CmpSGE:
-		return a >= b
-	case ir.CmpULT:
-		return uint64(a) < uint64(b)
-	case ir.CmpULE:
-		return uint64(a) <= uint64(b)
-	case ir.CmpUGT:
-		return uint64(a) > uint64(b)
-	case ir.CmpUGE:
-		return uint64(a) >= uint64(b)
-	}
-	return false
-}
-
-func fcmp(p ir.CmpPred, a, b float64) bool {
-	switch p {
-	case ir.CmpEQ:
-		return a == b
-	case ir.CmpNE:
-		return a != b
-	case ir.CmpSLT, ir.CmpULT:
-		return a < b
-	case ir.CmpSLE, ir.CmpULE:
-		return a <= b
-	case ir.CmpSGT, ir.CmpUGT:
-		return a > b
-	case ir.CmpSGE, ir.CmpUGE:
-		return a >= b
-	}
-	return false
-}
-
-func boolToInt(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
+	return r
 }
 
 // --- memory ---

@@ -2,12 +2,14 @@ package interp_test
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/minic"
+	"repro/internal/passes"
 	"repro/internal/vm"
 )
 
@@ -41,25 +43,59 @@ func TestFPToInt64Saturation(t *testing.T) {
 		{-1e300, math.MinInt64},
 	}
 	for _, tc := range cases {
-		if got := interp.FPToInt64(tc.in); got != tc.want {
+		if got := ir.FPToInt64(tc.in); got != tc.want {
 			t.Errorf("FPToInt64(%g) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 
-	// The same table through an executed FPToSI, on every engine: the
-	// conversion the engines run must be the one the oracle defines.
-	for _, tc := range cases {
+	// The same table through every path a conversion can take, on every
+	// engine: an executed fptosi, the same fptosi folded at O3 and, for
+	// each finite row, MiniC's (int) cast of a literal at O0 (folded by the
+	// front end, or an fneg and fptosi executed for a negative value) and
+	// at O3. The conversion the engines run, the folder evaluates and the
+	// front end folds must be the one the oracle defines.
+	fptosi := func(f float64) *ir.Module {
 		m := ir.NewModule("fp")
-		f := m.Add(ir.NewFunction("main", ir.I64, nil, nil))
-		bd := ir.NewBuilder(f.NewBlock("entry"))
-		bd.Ret(bd.Cast(ir.OpFPToSI, ir.ConstFloat(tc.in), ir.I64))
-		for _, eng := range engines {
-			res, err := eng.Run(m, interp.Options{})
-			if err != nil {
-				t.Fatalf("%s: fptosi(%g): %v", eng.Name(), tc.in, err)
+		fn := m.Add(ir.NewFunction("main", ir.I64, nil, nil))
+		bd := ir.NewBuilder(fn.NewBlock("entry"))
+		bd.Ret(bd.Cast(ir.OpFPToSI, ir.ConstFloat(f), ir.I64))
+		return m
+	}
+	for _, tc := range cases {
+		type path struct {
+			name  string
+			build func() (*ir.Module, error)
+		}
+		paths := []path{{"fptosi", func() (*ir.Module, error) { return fptosi(tc.in), nil }}}
+		if !math.IsNaN(tc.in) && !math.IsInf(tc.in, 0) {
+			lit := strconv.FormatFloat(math.Abs(tc.in), 'g', -1, 64)
+			if !strings.ContainsAny(lit, ".e") {
+				lit += ".0"
 			}
-			if res.Ret != tc.want {
-				t.Errorf("%s: fptosi(%g) = %d, want %d", eng.Name(), tc.in, res.Ret, tc.want)
+			if tc.in < 0 {
+				lit = "(-" + lit + ")"
+			}
+			src := "int main() { return (int)" + lit + "; }"
+			paths = append(paths, path{src, func() (*ir.Module, error) { return minic.CompileSource(src, "fp") }})
+		}
+		for _, p := range paths {
+			for _, level := range []passes.Level{passes.O0, passes.O3} {
+				m, err := p.build()
+				if err == nil {
+					err = passes.Optimize(m, level)
+				}
+				if err != nil {
+					t.Fatalf("%s at %s: %v", p.name, level, err)
+				}
+				for _, eng := range engines {
+					res, err := eng.Run(m, interp.Options{})
+					if err != nil {
+						t.Fatalf("%s: %s at %s (%g): %v", eng.Name(), p.name, level, tc.in, err)
+					}
+					if res.Ret != tc.want {
+						t.Errorf("%s: %s at %s (%g) = %d, want %d", eng.Name(), p.name, level, tc.in, res.Ret, tc.want)
+					}
+				}
 			}
 		}
 	}

@@ -239,39 +239,23 @@ func (c *compiler) declareGlobal(v *VarDecl) error {
 		return fmt.Errorf("global %s: struct globals are zero-initialized only", v.Name)
 	}
 	g := &ir.Global{Name: v.Name, Elem: elem, Const: v.Const}
-	isFloat := v.Type.Base == TFloat && v.Type.Ptr == 0
-	constVal := func(e Expr) (int64, float64, error) {
-		iv, fv, isF, err := constEval(e)
-		if err != nil {
-			return 0, 0, err
-		}
-		if isF {
-			return int64(fv), fv, nil
-		}
-		return iv, float64(iv), nil
+	target := ir.I64
+	if v.Type.Base == TFloat && v.Type.Ptr == 0 {
+		target = ir.F64
 	}
-	switch {
-	case v.Init != nil:
-		iv, fv, err := constVal(v.Init)
+	for _, e := range append([]Expr{v.Init}, v.Inits...) {
+		if e == nil {
+			continue
+		}
+		k, err := c.constEval(e)
 		if err != nil {
 			return fmt.Errorf("global %s: %w", v.Name, err)
 		}
-		if isFloat {
-			g.InitF = []float64{fv}
+		k = c.constConvert(k, target)
+		if target.IsFloat() {
+			g.InitF = append(g.InitF, k.F)
 		} else {
-			g.InitI = []int64{iv}
-		}
-	case v.Inits != nil:
-		for _, e := range v.Inits {
-			iv, fv, err := constVal(e)
-			if err != nil {
-				return fmt.Errorf("global %s: %w", v.Name, err)
-			}
-			if isFloat {
-				g.InitF = append(g.InitF, fv)
-			} else {
-				g.InitI = append(g.InitI, iv)
-			}
+			g.InitI = append(g.InitI, k.I)
 		}
 	}
 	c.mod.AddGlobal(g)
@@ -279,90 +263,71 @@ func (c *compiler) declareGlobal(v *VarDecl) error {
 	return nil
 }
 
-// constEval evaluates a constant expression for global initializers.
-func constEval(e Expr) (int64, float64, bool, error) {
+// constEval evaluates a global initializer at compile time. Operands
+// convert as genUnary and genBinary convert them, and each operator folds
+// through the IR opcode codegen emits for it (intOps, floatOps), so a global
+// holds what its expression computes at run time.
+func (c *compiler) constEval(e Expr) (*ir.Const, error) {
 	switch x := e.(type) {
-	case *IntLit:
-		return x.Val, 0, false, nil
-	case *FloatLit:
-		return 0, x.Val, true, nil
-	case *CharLit:
-		return int64(x.Val), 0, false, nil
-	case *ParenExpr:
-		return constEval(x.X)
-	case *UnaryExpr:
-		iv, fv, isF, err := constEval(x.X)
+	case *IntLit, *FloatLit, *CharLit:
+		v, err := c.genExpr(x)
 		if err != nil {
-			return 0, 0, false, err
+			return nil, err
 		}
-		switch x.Op {
-		case "-":
-			return -iv, -fv, isF, nil
-		case "~":
-			return ^iv, 0, false, nil
+		return v.(*ir.Const), nil
+	case *ParenExpr:
+		return c.constEval(x.X)
+	case *UnaryExpr:
+		v, err := c.constEval(x.X)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case x.Op == "-" && v.Ty.IsFloat():
+			return ir.Fold(ir.OpFNeg, 0, ir.F64, v, nil), nil
+		case x.Op == "-":
+			return c.constFold(ir.OpSub, ir.ConstInt(ir.I64, 0), v)
+		case x.Op == "~":
+			return c.constFold(ir.OpXor, v, ir.ConstInt(ir.I64, -1))
 		}
 	case *BinaryExpr:
-		ai, af, aF, err := constEval(x.X)
+		a, err := c.constEval(x.X)
 		if err != nil {
-			return 0, 0, false, err
+			return nil, err
 		}
-		bi, bf, bF, err := constEval(x.Y)
+		b, err := c.constEval(x.Y)
 		if err != nil {
-			return 0, 0, false, err
+			return nil, err
 		}
-		if aF || bF {
-			if !aF {
-				af = float64(ai)
-			}
-			if !bF {
-				bf = float64(bi)
-			}
-			switch x.Op {
-			case "+":
-				return 0, af + bf, true, nil
-			case "-":
-				return 0, af - bf, true, nil
-			case "*":
-				return 0, af * bf, true, nil
-			case "/":
-				return 0, af / bf, true, nil
-			}
-			return 0, 0, false, fmt.Errorf("non-constant float operator %q", x.Op)
+		ops := intOps
+		if a.Ty.IsFloat() || b.Ty.IsFloat() {
+			ops = floatOps
 		}
-		switch x.Op {
-		case "+":
-			return ai + bi, 0, false, nil
-		case "-":
-			return ai - bi, 0, false, nil
-		case "*":
-			return ai * bi, 0, false, nil
-		case "/":
-			if bi == 0 {
-				return 0, 0, false, fmt.Errorf("division by zero in constant")
-			}
-			return ai / bi, 0, false, nil
-		case "%":
-			if bi == 0 {
-				return 0, 0, false, fmt.Errorf("division by zero in constant")
-			}
-			return ai % bi, 0, false, nil
-		case "<<":
-			// Mask the count like the interpreter and the IR folder do
-			// (shl/ashr use count & 63): Go would yield 0 for counts >= 64
-			// or huge uint conversions of negative counts, silently
-			// diverging from the runtime result of the same expression.
-			return ai << (uint64(bi) & 63), 0, false, nil
-		case ">>":
-			return ai >> (uint64(bi) & 63), 0, false, nil
-		case "&":
-			return ai & bi, 0, false, nil
-		case "|":
-			return ai | bi, 0, false, nil
-		case "^":
-			return ai ^ bi, 0, false, nil
+		if op, ok := ops[x.Op]; ok {
+			return c.constFold(op, a, b)
 		}
 	}
-	return 0, 0, false, fmt.Errorf("expression is not constant")
+	return nil, fmt.Errorf("expression is not constant")
+}
+
+// constFold folds op over a and b, both first converted to op's operand
+// type (i64 or double) as genBinary would convert them.
+func (c *compiler) constFold(op ir.Opcode, a, b *ir.Const) (*ir.Const, error) {
+	t := ir.I64
+	if op.IsFloatBinary() {
+		t = ir.F64
+	}
+	if r := ir.Fold(op, 0, t, c.constConvert(a, t), c.constConvert(b, t)); r != nil {
+		return r, nil
+	}
+	return nil, fmt.Errorf("division by zero in constant")
+}
+
+// constConvert converts an integer or float constant to an integer or
+// float type, which convert always folds.
+func (c *compiler) constConvert(k *ir.Const, to *ir.Type) *ir.Const {
+	v, _ := c.convert(k, to)
+	return v.(*ir.Const)
 }
 
 func (c *compiler) compileFunc(fd *FuncDecl) error {
@@ -800,44 +765,43 @@ func (c *compiler) truthy(v ir.Value) ir.Value {
 	}
 }
 
-// convert coerces v to IR type to, inserting conversions as C would.
+// convert coerces v to IR type to, inserting conversions as C would. A
+// constant converts at compile time, through the IR's scalar semantics.
 func (c *compiler) convert(v ir.Value, to *ir.Type) (ir.Value, error) {
 	from := v.Type()
 	if from.Equal(to) {
 		return v, nil
 	}
+	var op ir.Opcode
 	switch {
 	case from.IsInt() && to.IsInt():
-		if cst, ok := v.(*ir.Const); ok {
-			return ir.ConstInt(to, cst.I), nil
-		}
 		switch {
+		case from.Bits == 1 && to.Bits > 1:
+			op = ir.OpZExt
 		case from.Bits < to.Bits:
-			if from.Bits == 1 {
-				return c.bd.Cast(ir.OpZExt, v, to), nil
-			}
-			return c.bd.Cast(ir.OpSExt, v, to), nil
+			op = ir.OpSExt
 		default:
-			return c.bd.Cast(ir.OpTrunc, v, to), nil
+			op = ir.OpTrunc
 		}
 	case from.IsInt() && to.IsFloat():
-		if cst, ok := v.(*ir.Const); ok {
-			return ir.ConstFloat(float64(cst.I)), nil
-		}
-		return c.bd.Cast(ir.OpSIToFP, v, to), nil
+		op = ir.OpSIToFP
 	case from.IsFloat() && to.IsInt():
-		if cst, ok := v.(*ir.Const); ok {
-			return ir.ConstInt(to, int64(cst.F)), nil
-		}
-		return c.bd.Cast(ir.OpFPToSI, v, to), nil
+		op = ir.OpFPToSI
 	case from.IsPtr() && to.IsPtr():
-		return c.bd.Cast(ir.OpBitcast, v, to), nil
+		op = ir.OpBitcast
 	case from.IsPtr() && to.IsInt():
-		return c.bd.Cast(ir.OpPtrToInt, v, to), nil
+		op = ir.OpPtrToInt
 	case from.IsInt() && to.IsPtr():
-		return c.bd.Cast(ir.OpIntToPtr, v, to), nil
+		op = ir.OpIntToPtr
+	default:
+		return nil, fmt.Errorf("cannot convert %s to %s", from, to)
 	}
-	return nil, fmt.Errorf("cannot convert %s to %s", from, to)
+	if cst, ok := v.(*ir.Const); ok {
+		if r := ir.Fold(op, 0, to, cst, nil); r != nil {
+			return r, nil
+		}
+	}
+	return c.bd.Cast(op, v, to), nil
 }
 
 // promote applies the usual arithmetic conversions to a pair of operands.

@@ -1,48 +1,13 @@
 package passes
 
-import (
-	"math"
-
-	"repro/internal/ir"
-)
+import "repro/internal/ir"
 
 // foldInstr attempts to evaluate an instruction whose operands are all
-// constants, returning the folded constant or nil. Division by zero and
-// other trapping cases return nil so the instruction stays put.
+// constants, returning the folded constant or nil. Arithmetic, compares and
+// casts evaluate through ir.Fold, which leaves division by zero and other
+// trapping cases unfolded so the instruction stays put.
 func foldInstr(in *ir.Instr) *ir.Const {
-	switch {
-	case in.Op.IsIntBinary():
-		a, ok1 := constOf(in.Args[0])
-		b, ok2 := constOf(in.Args[1])
-		if !ok1 || !ok2 {
-			return nil
-		}
-		return foldIntBinary(in.Op, in.Ty, a.I, b.I)
-	case in.Op.IsFloatBinary():
-		a, ok1 := constOf(in.Args[0])
-		b, ok2 := constOf(in.Args[1])
-		if !ok1 || !ok2 {
-			return nil
-		}
-		return foldFloatBinary(in.Op, a.F, b.F)
-	}
 	switch in.Op {
-	case ir.OpFNeg:
-		if a, ok := constOf(in.Args[0]); ok {
-			return ir.ConstFloat(-a.F)
-		}
-	case ir.OpICmp:
-		a, ok1 := constOf(in.Args[0])
-		b, ok2 := constOf(in.Args[1])
-		if ok1 && ok2 {
-			return ir.ConstBool(evalICmp(in.Pred, a.I, b.I))
-		}
-	case ir.OpFCmp:
-		a, ok1 := constOf(in.Args[0])
-		b, ok2 := constOf(in.Args[1])
-		if ok1 && ok2 {
-			return ir.ConstBool(evalFCmp(in.Pred, a.F, b.F))
-		}
 	case ir.OpSelect:
 		if c, ok := constOf(in.Args[0]); ok {
 			pick := in.Args[2]
@@ -53,166 +18,28 @@ func foldInstr(in *ir.Instr) *ir.Const {
 				return cv
 			}
 		}
-	case ir.OpTrunc:
-		if a, ok := constOf(in.Args[0]); ok {
-			return ir.ConstInt(in.Ty, a.I)
-		}
-	case ir.OpZExt:
-		if a, ok := constOf(in.Args[0]); ok {
-			from := in.Args[0].Type()
-			v := a.I
-			if from.IsInt() && from.Bits < 64 {
-				v &= int64(1)<<uint(from.Bits) - 1
-			}
-			return ir.ConstInt(in.Ty, v)
-		}
-	case ir.OpSExt:
-		if a, ok := constOf(in.Args[0]); ok {
-			return ir.ConstInt(in.Ty, a.I)
-		}
-	case ir.OpSIToFP:
-		if a, ok := constOf(in.Args[0]); ok {
-			return ir.ConstFloat(float64(a.I))
-		}
-	case ir.OpUIToFP:
-		if a, ok := constOf(in.Args[0]); ok {
-			return ir.ConstFloat(float64(uint64(a.I)))
-		}
-	case ir.OpFPToSI:
-		if a, ok := constOf(in.Args[0]); ok {
-			if math.IsNaN(a.F) || math.IsInf(a.F, 0) {
-				return ir.ConstInt(in.Ty, 0)
-			}
-			return ir.ConstInt(in.Ty, int64(a.F))
-		}
-	case ir.OpFPTrunc, ir.OpFPExt:
-		if a, ok := constOf(in.Args[0]); ok {
-			return ir.ConstFloat(a.F)
-		}
+		return nil
 	case ir.OpFreeze:
-		if a, ok := constOf(in.Args[0]); ok {
-			return a
+		c, _ := constOf(in.Args[0])
+		return c
+	}
+	if len(in.Args) == 0 || len(in.Args) > 2 {
+		return nil
+	}
+	a, ok := constOf(in.Args[0])
+	if !ok {
+		return nil
+	}
+	var b *ir.Const
+	if len(in.Args) == 2 {
+		if b, ok = constOf(in.Args[1]); !ok {
+			return nil
 		}
 	}
-	return nil
+	return ir.Fold(in.Op, in.Pred, in.Ty, a, b)
 }
 
 func constOf(v ir.Value) (*ir.Const, bool) {
 	c, ok := v.(*ir.Const)
 	return c, ok
-}
-
-func foldIntBinary(op ir.Opcode, ty *ir.Type, a, b int64) *ir.Const {
-	var r int64
-	switch op {
-	case ir.OpAdd:
-		r = a + b
-	case ir.OpSub:
-		r = a - b
-	case ir.OpMul:
-		r = a * b
-	case ir.OpSDiv:
-		if b == 0 || (a == math.MinInt64 && b == -1) {
-			return nil
-		}
-		r = a / b
-	case ir.OpUDiv:
-		if b == 0 {
-			return nil
-		}
-		r = int64(uint64(a) / uint64(b))
-	case ir.OpSRem:
-		if b == 0 || (a == math.MinInt64 && b == -1) {
-			return nil
-		}
-		r = a % b
-	case ir.OpURem:
-		if b == 0 {
-			return nil
-		}
-		r = int64(uint64(a) % uint64(b))
-	case ir.OpShl:
-		r = a << (uint64(b) & 63)
-	case ir.OpLShr:
-		width := uint(64)
-		if ty.IsInt() && ty.Bits < 64 {
-			width = uint(ty.Bits)
-		}
-		mask := ^uint64(0)
-		if width < 64 {
-			mask = 1<<width - 1
-		}
-		r = int64((uint64(a) & mask) >> (uint64(b) & 63))
-	case ir.OpAShr:
-		r = a >> (uint64(b) & 63)
-	case ir.OpAnd:
-		r = a & b
-	case ir.OpOr:
-		r = a | b
-	case ir.OpXor:
-		r = a ^ b
-	default:
-		return nil
-	}
-	return ir.ConstInt(ty, r)
-}
-
-func foldFloatBinary(op ir.Opcode, a, b float64) *ir.Const {
-	switch op {
-	case ir.OpFAdd:
-		return ir.ConstFloat(a + b)
-	case ir.OpFSub:
-		return ir.ConstFloat(a - b)
-	case ir.OpFMul:
-		return ir.ConstFloat(a * b)
-	case ir.OpFDiv:
-		return ir.ConstFloat(a / b)
-	case ir.OpFRem:
-		return ir.ConstFloat(math.Mod(a, b))
-	}
-	return nil
-}
-
-func evalICmp(p ir.CmpPred, a, b int64) bool {
-	switch p {
-	case ir.CmpEQ:
-		return a == b
-	case ir.CmpNE:
-		return a != b
-	case ir.CmpSLT:
-		return a < b
-	case ir.CmpSLE:
-		return a <= b
-	case ir.CmpSGT:
-		return a > b
-	case ir.CmpSGE:
-		return a >= b
-	case ir.CmpULT:
-		return uint64(a) < uint64(b)
-	case ir.CmpULE:
-		return uint64(a) <= uint64(b)
-	case ir.CmpUGT:
-		return uint64(a) > uint64(b)
-	case ir.CmpUGE:
-		return uint64(a) >= uint64(b)
-	}
-	return false
-}
-
-func evalFCmp(p ir.CmpPred, a, b float64) bool {
-	switch p {
-	case ir.CmpEQ:
-		return a == b
-	case ir.CmpNE:
-		return a != b
-	case ir.CmpSLT, ir.CmpULT:
-		return a < b
-	case ir.CmpSLE, ir.CmpULE:
-		return a <= b
-	case ir.CmpSGT, ir.CmpUGT:
-		return a > b
-	case ir.CmpSGE, ir.CmpUGE:
-		return a >= b
-	}
-	return false
 }

@@ -277,19 +277,20 @@ func matchLoop(f *ir.Function, l *ir.Loop) (loopShape, bool) {
 	}
 	sh.ivNext, sh.step = next, stepC
 
-	// Simulate the trip count.
-	k := sh.init
+	// Simulate the trip count, wrapping the induction variable at its width.
+	ty := ivPhi.Ty
+	k, bound, step := ir.Scalar{I: sh.init}, ir.Scalar{I: sh.bound}, ir.Scalar{I: sh.step}
 	trip := 0
 	for {
-		taken := evalICmp(sh.pred, k, sh.bound)
-		if taken != sh.bodyTrue {
+		taken, _ := ir.Eval(ir.OpICmp, sh.pred, ty, ir.I1, k, bound)
+		if (taken.I != 0) != sh.bodyTrue {
 			break
 		}
 		trip++
 		if trip > maxTripSim {
 			return sh, false
 		}
-		k += sh.step
+		k, _ = ir.Eval(ir.OpAdd, 0, ty, ty, k, step)
 	}
 	if trip == 0 {
 		// Folding a never-entered loop is SimplifyCFG's job.

@@ -61,7 +61,7 @@ const (
 	opMov // regs[dst] = regs[a]
 
 	// Integer binary ops: regs[dst].i = regs[a].i OP regs[b].i, with the
-	// result sign-extended through sh (64 - result bits; 0 for i64).
+	// result sign-extended through sh (64 - result bits; 0 for i64 and i1).
 	opAdd
 	opSub
 	opMul
@@ -133,7 +133,7 @@ const (
 	// Conversions.
 	opTrunc  // regs[dst].i = regs[a].i << sh >> sh
 	opZExt   // regs[dst].i = regs[a].i & ((1 << sh) - 1); sh = source bits
-	opFPToI  // regs[dst].i = truncSh(FPToInt64(regs[a].f)) — fptosi and fptoui
+	opFPToI  // regs[dst].i = truncSh(ir.FPToInt64(regs[a].f)) — fptosi and fptoui
 	opSIToFP // regs[dst].f = float64(regs[a].i)
 	opUIToFP // regs[dst].f = float64(uint64(regs[a].i))
 

@@ -286,13 +286,27 @@ func (c *fnCompiler) branchTo(pc int32, field uint8, swIdx int32, pred, succ int
 	c.fixups = append(c.fixups, fixup{pc: pc, field: field, swIdx: swIdx, pred: pred, succ: succ})
 }
 
-// shOf returns the sign-extension shift reproducing interp's truncInt for
-// results of type t: 64 - bits for sub-64-bit integers, else 0.
+// shOf returns the shift sh with which r << sh >> sh normalizes a result of
+// type t to ir.Eval's width rule: 64 - bits for the integers between i1 and
+// i64, which are stored sign-extended, else 0. An i1 is 0 or 1 rather than
+// sign-extended, so it gets 0 too; maskI1 brings back into range the i1
+// results that 0/1 operands can leave it.
 func shOf(t *ir.Type) uint8 {
-	if t.IsInt() && t.Bits < 64 {
+	if t.IsInt() && t.Bits > 1 && t.Bits < 64 {
 		return uint8(64 - t.Bits)
 	}
 	return 0
+}
+
+func isI1(t *ir.Type) bool { return t.IsInt() && t.Bits == 1 }
+
+// maskI1 follows an instruction whose result may leave {0, 1} even on 0/1
+// operands (add, sub, shl, fptosi) with a free mask to the low bit when
+// that result is an i1.
+func (c *fnCompiler) maskI1(t *ir.Type, dst int32) {
+	if isI1(t) {
+		c.emit(inst{op: opZExt, sh: 1, dst: dst, a: dst})
+	}
 }
 
 func (c *fnCompiler) compileBlock(b int32) {
@@ -334,7 +348,11 @@ func (c *fnCompiler) compileInstr(b, i int32) {
 		if !ok {
 			return
 		}
-		c.emit(inst{op: opAdd + op(irOp-ir.OpAdd), cost: 1, sh: shOf(fl.Types[row.Ty]), dst: dst, a: s[0], b: s[1]})
+		ty := fl.Types[row.Ty]
+		c.emit(inst{op: opAdd + op(irOp-ir.OpAdd), cost: 1, sh: shOf(ty), dst: dst, a: s[0], b: s[1]})
+		if irOp == ir.OpAdd || irOp == ir.OpSub || irOp == ir.OpShl {
+			c.maskI1(ty, dst)
+		}
 		return
 	case irOp.IsFloatBinary():
 		s, ok := c.operands(args[:2])
@@ -458,9 +476,12 @@ func (c *fnCompiler) compileInstr(b, i int32) {
 		if !ok {
 			return
 		}
-		if sh := shOf(fl.Types[row.Ty]); sh != 0 {
-			c.emit(inst{op: opTrunc, cost: 1, sh: sh, dst: dst, a: s[0]})
-		} else {
+		switch ty := fl.Types[row.Ty]; {
+		case isI1(ty):
+			c.emit(inst{op: opZExt, cost: 1, sh: 1, dst: dst, a: s[0]})
+		case shOf(ty) != 0:
+			c.emit(inst{op: opTrunc, cost: 1, sh: shOf(ty), dst: dst, a: s[0]})
+		default:
 			c.emit(inst{op: opMov, cost: 1, dst: dst, a: s[0]})
 		}
 
@@ -482,7 +503,9 @@ func (c *fnCompiler) compileInstr(b, i int32) {
 		if !ok {
 			return
 		}
-		c.emit(inst{op: opFPToI, cost: 1, sh: shOf(fl.Types[row.Ty]), dst: dst, a: s[0]})
+		ty := fl.Types[row.Ty]
+		c.emit(inst{op: opFPToI, cost: 1, sh: shOf(ty), dst: dst, a: s[0]})
+		c.maskI1(ty, dst)
 
 	case ir.OpSIToFP:
 		s, ok := c.operands(args[:1])
@@ -498,12 +521,17 @@ func (c *fnCompiler) compileInstr(b, i int32) {
 		}
 		c.emit(inst{op: opUIToFP, cost: 1, dst: dst, a: s[0]})
 
-	// SExt operands are stored sign-extended already; the pointer and float
-	// width casts are value-preserving in this memory model.
+	// SExt operands wider than i1 are stored sign-extended already; the
+	// pointer and float width casts are value-preserving in this memory
+	// model.
 	case ir.OpSExt, ir.OpFPTrunc, ir.OpFPExt, ir.OpPtrToInt, ir.OpIntToPtr,
 		ir.OpBitcast, ir.OpAddrSpaceCast, ir.OpFreeze:
 		s, ok := c.operands(args[:1])
 		if !ok {
+			return
+		}
+		if irOp == ir.OpSExt && isI1(c.operandType(args[0])) {
+			c.emit(inst{op: opTrunc, cost: 1, sh: 63, dst: dst, a: s[0]})
 			return
 		}
 		c.emit(inst{op: opMov, cost: 1, dst: dst, a: s[0]})

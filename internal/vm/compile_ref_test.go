@@ -9,8 +9,10 @@ import (
 
 // This file preserves the original pointer-walking bytecode compiler,
 // verbatim except for ref* renames, the gepRef residue (which carries the
-// same two facts gepSlow used to read through the *ir.Instr) and the shared
-// denseSwitches pass at the end of refCompile. It exists only
+// same two facts gepSlow used to read through the *ir.Instr), the shared
+// denseSwitches pass at the end of refCompile and the i1 width rule (an i1
+// is 0 or 1: trunc to i1 masks, sext from i1 negates, and add, sub, shl
+// and fptosi results of type i1 are masked). It exists only
 // as the equivalence oracle: TestCompileFlatEquivalence pins that the flat
 // compiler in compile.go emits bit-identical programs.
 
@@ -239,6 +241,9 @@ func (c *refFnCompiler) compileInstr(b *ir.Block, in *ir.Instr) {
 			return
 		}
 		c.emit(inst{op: opAdd + op(in.Op-ir.OpAdd), cost: 1, sh: shOf(in.Ty), dst: dst, a: s[0], b: s[1]})
+		if isI1(in.Ty) && (in.Op == ir.OpAdd || in.Op == ir.OpSub || in.Op == ir.OpShl) {
+			c.emit(inst{op: opZExt, sh: 1, dst: dst, a: dst})
+		}
 		return
 	case in.Op.IsFloatBinary():
 		s, ok := c.operands(in, in.Args[0], in.Args[1])
@@ -357,7 +362,9 @@ func (c *refFnCompiler) compileInstr(b *ir.Block, in *ir.Instr) {
 		if !ok {
 			return
 		}
-		if sh := shOf(in.Ty); sh != 0 {
+		if isI1(in.Ty) {
+			c.emit(inst{op: opZExt, cost: 1, sh: 1, dst: dst, a: s[0]})
+		} else if sh := shOf(in.Ty); sh != 0 {
 			c.emit(inst{op: opTrunc, cost: 1, sh: sh, dst: dst, a: s[0]})
 		} else {
 			c.emit(inst{op: opMov, cost: 1, dst: dst, a: s[0]})
@@ -380,6 +387,9 @@ func (c *refFnCompiler) compileInstr(b *ir.Block, in *ir.Instr) {
 			return
 		}
 		c.emit(inst{op: opFPToI, cost: 1, sh: shOf(in.Ty), dst: dst, a: s[0]})
+		if isI1(in.Ty) {
+			c.emit(inst{op: opZExt, sh: 1, dst: dst, a: dst})
+		}
 
 	case ir.OpSIToFP:
 		s, ok := c.operands(in, in.Args[0])
@@ -399,6 +409,10 @@ func (c *refFnCompiler) compileInstr(b *ir.Block, in *ir.Instr) {
 		ir.OpBitcast, ir.OpAddrSpaceCast, ir.OpFreeze:
 		s, ok := c.operands(in, in.Args[0])
 		if !ok {
+			return
+		}
+		if in.Op == ir.OpSExt && isI1(in.Args[0].Type()) {
+			c.emit(inst{op: opTrunc, cost: 1, sh: 63, dst: dst, a: s[0]})
 			return
 		}
 		c.emit(inst{op: opMov, cost: 1, dst: dst, a: s[0]})

@@ -259,8 +259,9 @@ func (m *machine) exec(fc *funcCode, base int) (val, error) {
 		case opTrapErr:
 			return val{}, errors.New(fc.msgs[in.a])
 
-		// Integer arithmetic. sh re-creates truncInt: results of sub-64-bit
-		// types are stored sign-extended.
+		// Integer arithmetic. sh normalizes the result to its type's width
+		// (see shOf): results of types between i1 and i64 are stored
+		// sign-extended.
 		case opAdd:
 			r := rs[in.a].i + rs[in.b].i
 			rs[in.dst].i = r << in.sh >> in.sh
@@ -438,7 +439,7 @@ func (m *machine) exec(fc *funcCode, base int) (val, error) {
 		case opZExt:
 			rs[in.dst].i = rs[in.a].i & (int64(1)<<in.sh - 1)
 		case opFPToI:
-			r := interp.FPToInt64(rs[in.a].f)
+			r := ir.FPToInt64(rs[in.a].f)
 			rs[in.dst].i = r << in.sh >> in.sh
 		case opSIToFP:
 			rs[in.dst].f = float64(rs[in.a].i)
